@@ -1,5 +1,7 @@
 GO ?= go
-BASE ?= BENCH_PR2.json
+# The newest recorded benchmark baseline: the highest-numbered
+# BENCH_PR<n>.json.
+BASE ?= $(shell ./scripts/bench_latest.sh)
 
 .PHONY: all build vet test race bench bench-smoke bench-compare check baseline serve smoke-serve obs-check slo distjob
 
@@ -26,8 +28,8 @@ bench:
 bench-smoke:
 	$(GO) test -run xxx -bench=. -benchtime=1x .
 
-# Full benchmark run gated against a recorded baseline: fails when a
-# pinned hot-path benchmark regresses >20% bytes/op. Override the
+# Full benchmark run gated against the newest recorded baseline: fails
+# when a pinned hot-path benchmark regresses >20% bytes/op. Override the
 # baseline with BASE=, e.g. `make bench-compare BASE=BENCH_PR1.json`.
 bench-compare:
 	./scripts/bench_compare.sh $(BASE)
@@ -66,6 +68,7 @@ obs-check:
 # The gate run by CI and by scripts/check.sh.
 check: vet build race bench-smoke obs-check
 
-# Refresh the recorded benchmark baseline (writes $(BASE)).
+# Record a new benchmark baseline: `make baseline OUT=BENCH_PR<n>.json`,
+# with n above every recorded one. OUT is required.
 baseline:
-	./scripts/bench_baseline.sh $(BASE)
+	./scripts/bench_baseline.sh $(OUT)

@@ -63,10 +63,10 @@ func main() {
 		maxJobs   = flag.Int("max-jobs", 0, "concurrent simulation jobs before 429 (0 = 2)")
 		memoSnap  = flag.String("memo-snapshot", "", "file for memo-cache snapshots: loaded at start, written after a clean drain (empty = disabled)")
 		peers     = flag.String("peers", "", "comma-separated peer replicas (host:port) whose distributed jobs this daemon pulls shards from; implies -distribute")
-		distrib   = flag.Bool("distribute", false, "run jobs through the shard-lease coordinator so peer replicas can pull shards (implied by -peers)")
+		distrib   = flag.Bool("distribute", false, "open jobs to peer replicas, which pull their shards over HTTP (implied by -peers)")
 		leaseTTL  = flag.Duration("lease-ttl", 10*time.Second, "distributed shard-lease lifetime; a dead worker's shards re-run one TTL after its last renewal")
 		workerID  = flag.String("worker-id", "", "name of this replica in distributed-job lease tables (default host:pid)")
-		jobWrk    = flag.Int("job-workers", 0, "local evaluation goroutines for distributed jobs (0 = all cores, -1 = coordinate only)")
+		jobWrk    = flag.Int("job-workers", 0, "local evaluation goroutines for jobs (0 = all cores, -1 = coordinate only, which needs -distribute or -peers)")
 	)
 	o := &obs.Flags{}
 	o.RegisterFlags(flag.CommandLine)
@@ -126,6 +126,13 @@ func splitPeers(s string) []string {
 // clean drain, so a rolling restart of a replica keeps its cache shard.
 func run(ctx context.Context, cfg serve.Config, debugAddr, memoSnap string, logger *slog.Logger) error {
 	cfg.Logger = logger
+	switch {
+	case cfg.JobWorkers < -1:
+		return fmt.Errorf("nanocostd: -job-workers must be -1, 0 or positive, got %d", cfg.JobWorkers)
+	case cfg.JobWorkers == -1 && !cfg.DistributeJobs && len(cfg.Peers) == 0:
+		// Nothing could lease the shards: every job would run forever.
+		return fmt.Errorf("nanocostd: -job-workers -1 evaluates no shard locally, so it needs -distribute or -peers")
+	}
 	ctx, stop := signal.NotifyContext(ctx, os.Interrupt, syscall.SIGTERM)
 	defer stop()
 

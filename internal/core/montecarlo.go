@@ -299,9 +299,9 @@ type MCEvaluator struct {
 	dists [5]Dist
 }
 
-// Evaluator validates u and returns the prepared per-chunk evaluator.
-// The validation is exactly MonteCarloRunCtx's: base scenario first, then
-// each effective input distribution.
+// Evaluator validates u — base scenario first, then each effective input
+// distribution — and returns the prepared per-chunk evaluator.
+// MonteCarloRunCtx validates and draws through it too.
 func (u UncertainScenario) Evaluator() (*MCEvaluator, error) {
 	if err := u.Base.Validate(); err != nil {
 		return nil, err
@@ -321,12 +321,18 @@ func (u UncertainScenario) Evaluator() (*MCEvaluator, error) {
 	return &MCEvaluator{k: newMCKernel(u.Base), dists: dists}, nil
 }
 
-// Chunk draws n accepted cost samples from r — the identical accept/
-// reject loop MonteCarloRunCtx runs per chunk, consuming the stream in
-// the same order — and returns their running tally. It fails like the
-// run does: a non-finite accepted total or a sample exhausting
-// mcMaxAttempts aborts the chunk.
+// Chunk draws n accepted cost samples from r and returns their running
+// tally. It fails like MonteCarloRunCtx does: a non-finite accepted
+// total or a sample exhausting mcMaxAttempts aborts the chunk.
 func (e *MCEvaluator) Chunk(r *stats.RNG, n int) (MCChunkTally, error) {
+	return e.chunk(r, n, nil)
+}
+
+// chunk is the one accept/reject loop of the Monte Carlo engine. It
+// draws n accepted samples from r, tallies them and, when out is
+// non-nil, also stores the i-th accepted total in out[i] (len(out) must
+// be n), which is how MonteCarloRunCtx collects its samples.
+func (e *MCEvaluator) chunk(r *stats.RNG, n int, out []float64) (MCChunkTally, error) {
 	t := MCChunkTally{Min: math.Inf(1), Max: math.Inf(-1)}
 	for i := 0; i < n; i++ {
 		ok := false
@@ -334,7 +340,13 @@ func (e *MCEvaluator) Chunk(r *stats.RNG, n int) (MCChunkTally, error) {
 			total, accepted := e.k.draw(r, &e.dists)
 			if accepted {
 				if !finite(total) {
+					// With finite-validated inputs this is unreachable, but a
+					// NaN that slipped through must fail the run rather than
+					// be averaged into the tally or the quantiles.
 					return MCChunkTally{}, fmt.Errorf("core: MonteCarlo produced non-finite cost %v from an accepted draw", total)
+				}
+				if out != nil {
+					out[i] = total
 				}
 				t.Accepted++
 				t.Sum += total
@@ -379,20 +391,9 @@ func (u UncertainScenario) MonteCarloRunCtx(ctx context.Context, n int, seed uin
 	if n <= 0 {
 		return MCRun{}, fmt.Errorf("core: MonteCarlo requires positive sample count, got %d", n)
 	}
-	if err := u.Base.Validate(); err != nil {
+	e, err := u.Evaluator()
+	if err != nil {
 		return MCRun{}, err
-	}
-	dists := [5]Dist{
-		orFixed(u.Yield, u.Base.Process.Yield),
-		orFixed(u.CmSq, u.Base.Process.CostPerCM2),
-		orFixed(u.Sd, u.Base.Design.Sd),
-		orFixed(u.Wafers, u.Base.Wafers),
-		orFixed(u.MaskCost, u.Base.MaskCost),
-	}
-	for _, d := range dists {
-		if err := d.Validate(); err != nil {
-			return MCRun{}, err
-		}
 	}
 	ctx, span := obs.StartSpan(ctx, "core.montecarlo")
 	if span != nil {
@@ -403,32 +404,10 @@ func (u UncertainScenario) MonteCarloRunCtx(ctx context.Context, n int, seed uin
 	streams := stats.NewRNG(seed).SplitN(chunks)
 	costs := make([]float64, n)
 	redraws := make([]int, chunks)
-	k := newMCKernel(u.Base)
-	err := parallel.ForEachChunkTuned(ctx, n, mcChunkSize, workers, &mcTuner, func(chunk, lo, hi int) error {
-		r := streams[chunk]
-		for i := lo; i < hi; i++ {
-			ok := false
-			for attempt := 0; attempt < mcMaxAttempts; attempt++ {
-				total, accepted := k.draw(r, &dists)
-				if accepted {
-					if !finite(total) {
-						// With finite-validated inputs this is unreachable, but a
-						// NaN that slipped through must fail the run rather than
-						// be averaged into the quantiles.
-						return fmt.Errorf("core: MonteCarlo produced non-finite cost %v from an accepted draw", total)
-					}
-					costs[i] = total
-					ok = true
-					break
-				}
-				redraws[chunk]++
-			}
-			if !ok {
-				return fmt.Errorf("core: MonteCarlo could not draw a valid sample in %d attempts (distributions mostly outside the model domain; %d rejected draws in this chunk alone)",
-					mcMaxAttempts, redraws[chunk])
-			}
-		}
-		return nil
+	err = parallel.ForEachChunkTuned(ctx, n, mcChunkSize, workers, &mcTuner, func(chunk, lo, hi int) error {
+		t, err := e.chunk(streams[chunk], hi-lo, costs[lo:hi])
+		redraws[chunk] = t.Redraws
+		return err
 	})
 	if err != nil {
 		return MCRun{}, err

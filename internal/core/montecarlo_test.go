@@ -1,6 +1,9 @@
 package core
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"math"
 	"testing"
 
@@ -362,5 +365,44 @@ func TestMCEvaluatorHopelessDomainErrors(t *testing.T) {
 	}
 	if _, err := e.Chunk(stats.NewRNG(1), 10); err == nil {
 		t.Fatal("chunk accepted distributions entirely outside the domain")
+	}
+}
+
+// TestMonteCarloRunPinnedSamples pins MonteCarloRun's exact output for one
+// fixed scenario: the sha256 of every sorted sample's Float64bits
+// (little-endian) and the redraw count. The s_d range straddles s_d0, so
+// the redraw path is pinned too. Any change to the accept/reject loop,
+// the chunk streams or the draw order moves these values.
+func TestMonteCarloRunPinnedSamples(t *testing.T) {
+	u := UncertainScenario{
+		Base: Scenario{
+			Process:    Process{LambdaUM: 0.18, CostPerCM2: 8, Yield: 0.6, WaferAreaCM2: 300},
+			Design:     Design{Transistors: 10e6, Sd: 300},
+			DesignCost: DefaultDesignCostModel(),
+			Wafers:     5000,
+		},
+		Yield: Uniform(0.3, 0.9),
+		CmSq:  LogNormal(8, 1.4),
+		Sd:    Uniform(50, 400),
+	}
+	const (
+		wantHash    = "3ce486c1d38e6cbd590f72b7ff7c20e6513822a38e0f2cf9ac67055e839453bd"
+		wantRedraws = 2051
+	)
+	for _, workers := range []int{1, 4} {
+		run, err := u.MonteCarloRun(3*mcChunkSize+41, 7, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := sha256.New()
+		var b [8]byte
+		for _, v := range run.Samples {
+			binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
+			h.Write(b[:])
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != wantHash || run.Redraws != wantRedraws {
+			t.Fatalf("workers=%d: samples sha256 %s with %d redraws, want %s with %d",
+				workers, got, run.Redraws, wantHash, wantRedraws)
+		}
 	}
 }

@@ -2,12 +2,8 @@ package mcjob
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
-	"sort"
 	"sync"
 	"time"
 
@@ -33,13 +29,6 @@ type Lease struct {
 	Expires int64  `json:"expires_unix_ms"`
 }
 
-// leaseFileName is the advisory lease table persisted next to the
-// checkpoint manifest. It rides in the checkpoint directory rather than
-// inside MANIFEST.json because the manifest is the immutable spec pin
-// (compared wholesale on resume) while leases are mutable scheduling
-// state; losing the file costs at most one TTL of duplicate compute.
-const leaseFileName = "leases.json"
-
 // defaultLeaseTTL is the lease lifetime when CoordinatorConfig does not
 // choose: long enough that a renewing worker (renew period TTL/3) never
 // loses a healthy lease, short enough that a dead worker's shards
@@ -61,23 +50,28 @@ type CoordinatorConfig struct {
 	now func() time.Time
 }
 
-// Coordinator owns one distributed sharded run: it grants shard leases
-// to workers (local or remote), folds submitted shard partials in
-// canonical chunk order through the same online merger Run uses, and
-// checkpoints accepted shards. Because every chunk's draws and the fold
-// order are functions of (kernel spec, trials, seed) alone, the merged
-// result is bit-identical (Float64bits) to a single-host Run no matter
-// how shards were spread across replicas, how often leases expired, or
-// how many duplicate submissions raced.
+// Coordinator owns one sharded run and is the package's only merger: it
+// grants shard leases to workers (in-process or on peer replicas), folds
+// submitted shard partials online in canonical chunk order, checkpoints
+// accepted shards and keeps the run's progress. Because every chunk's
+// draws and the fold order are functions of (kernel spec, trials, seed)
+// alone, the merged result is bit-identical (Float64bits) for every shard
+// count and worker count, no matter how shards were spread across
+// replicas, how often leases expired, or how many duplicate submissions
+// raced.
+//
+// Leases live in memory only. The fsynced shard log is the run's one
+// durable state: after a restart every unmerged shard is leasable at
+// once, which costs at most one TTL of duplicate compute that idempotent
+// Submit absorbs.
 type Coordinator struct {
-	eval      *ShardEvaluator
-	k         Kernel
-	cfg       RunConfig
-	ttl       time.Duration
-	now       func() time.Time
-	events    *EventLog // nil-safe lifecycle timeline
-	cp        *checkpoint
-	leasePath string
+	eval   *ShardEvaluator
+	k      Kernel
+	cfg    RunConfig
+	ttl    time.Duration
+	now    func() time.Time
+	events *EventLog // nil-safe lifecycle timeline
+	cp     *checkpoint
 
 	mu       sync.Mutex
 	tally    Tally
@@ -92,9 +86,8 @@ type Coordinator struct {
 }
 
 // NewCoordinator validates the spec, opens (and replays) the checkpoint
-// when cfg.CheckpointDir is set, restores any persisted leases that are
-// still live, and — if the checkpoint already covers every shard —
-// finishes immediately.
+// when cfg.CheckpointDir is set, and — if the checkpoint already covers
+// every shard — finishes immediately.
 func NewCoordinator(k Kernel, cfg RunConfig, opt CoordinatorConfig) (*Coordinator, error) {
 	eval, err := NewShardEvaluator(k, cfg)
 	if err != nil {
@@ -130,7 +123,6 @@ func NewCoordinator(k Kernel, cfg RunConfig, opt CoordinatorConfig) (*Coordinato
 			return nil, err
 		}
 		c.cp = cp
-		c.leasePath = filepath.Join(cfg.CheckpointDir, leaseFileName)
 		c.prog.CheckpointSkipped = cp.skippedRecords
 		for s, parts := range restored {
 			c.byShard[s] = parts
@@ -145,7 +137,6 @@ func NewCoordinator(k Kernel, cfg RunConfig, opt CoordinatorConfig) (*Coordinato
 				fmt.Sprintf("%d shards restored from checkpoint", c.prog.ShardsResumed))
 		}
 		c.advanceLocked()
-		c.loadLeases()
 	}
 
 	if cfg.OnProgress != nil && (c.prog.ShardsResumed > 0 || c.prog.CheckpointSkipped > 0) {
@@ -190,7 +181,6 @@ func (c *Coordinator) finishLocked() {
 	c.finished = true
 	c.result = c.k.Finalize(c.tally, c.cfg)
 	c.leases = map[int]Lease{}
-	c.persistLeasesLocked()
 	close(c.done)
 }
 
@@ -232,7 +222,10 @@ func (c *Coordinator) Acquire(owner string, max int) []Lease {
 	c.reclaimLocked()
 	exp := c.now().Add(c.ttl).UnixMilli()
 	var granted []Lease
-	for s := 0; s < c.eval.p.shards && len(granted) < max; s++ {
+	// Every shard below the merge cursor is merged, so the scan starts
+	// there and passes only leased or not-yet-folded shards, not every
+	// shard of a long run.
+	for s := c.cursor; s < c.eval.p.shards && len(granted) < max; s++ {
 		if c.present[s] {
 			continue
 		}
@@ -243,9 +236,6 @@ func (c *Coordinator) Acquire(owner string, max int) []Lease {
 		c.leases[s] = l
 		c.events.Append(EventLeaseAcquired, s, owner, "")
 		granted = append(granted, l)
-	}
-	if len(granted) > 0 {
-		c.persistLeasesLocked()
 	}
 	return granted
 }
@@ -269,7 +259,6 @@ func (c *Coordinator) Renew(owner string) int {
 		}
 	}
 	if n > 0 {
-		c.persistLeasesLocked()
 		c.events.Append(EventLeaseRenewed, -1, owner, fmt.Sprintf("%d leases", n))
 	}
 	return n
@@ -336,7 +325,6 @@ func (c *Coordinator) Submit(owner string, shard int, parts []Partial, seconds f
 	c.prog.LastShard = shard
 	c.prog.LastShardSeconds = seconds
 	snapshot := c.prog
-	c.persistLeasesLocked()
 	if c.cursor == p.shards {
 		c.finishLocked()
 	}
@@ -412,9 +400,11 @@ func (c *Coordinator) Close() {
 // finishes (returns nil), ctx is cancelled (returns ctx.Err()), or a
 // shard evaluation fails (returns the first error). It participates in
 // the same lease protocol as remote workers — acquire one shard at a
-// time, renew at TTL/3 while computing, submit — so local and remote
-// compute interleave freely, and a remote worker's expired leases are
-// picked up here.
+// time, compute, submit — so local and remote compute interleave freely,
+// and a remote worker's expired leases are picked up here. One renewer
+// heartbeats at TTL/3 for the whole call: Renew(owner) extends every
+// lease owner holds, so the workers' leases never lapse while they
+// compute.
 func (c *Coordinator) RunLocal(ctx context.Context, owner string, workers int) error {
 	if workers <= 0 {
 		workers = parallel.DefaultWorkers()
@@ -437,6 +427,24 @@ func (c *Coordinator) RunLocal(ctx context.Context, owner string, workers int) e
 		errOnce.Do(func() { firstErr = err })
 		cancel()
 	}
+	// Workers return only once the run is done or ctx is cancelled (fail
+	// cancels it), so the renewer's exit conditions cover theirs.
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		t := time.NewTicker(c.ttl / 3)
+		defer t.Stop()
+		for {
+			select {
+			case <-c.done:
+				return
+			case <-ctx.Done():
+				return
+			case <-t.C:
+				c.Renew(owner)
+			}
+		}
+	}()
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
@@ -463,26 +471,8 @@ func (c *Coordinator) RunLocal(ctx context.Context, owner string, workers int) e
 					continue
 				}
 				s := ls[0].Shard
-				stopRenew := make(chan struct{})
-				var renewWG sync.WaitGroup
-				renewWG.Add(1)
-				go func() {
-					defer renewWG.Done()
-					t := time.NewTicker(c.ttl / 3)
-					defer t.Stop()
-					for {
-						select {
-						case <-stopRenew:
-							return
-						case <-t.C:
-							c.Renew(owner)
-						}
-					}
-				}()
 				start := time.Now()
 				parts, err := c.eval.EvalShard(ctx, s)
-				close(stopRenew)
-				renewWG.Wait()
 				if err != nil {
 					if ctx.Err() == nil {
 						fail(err)
@@ -505,54 +495,5 @@ func (c *Coordinator) RunLocal(ctx context.Context, owner string, workers int) e
 		return nil
 	default:
 		return ctx.Err()
-	}
-}
-
-// persistLeasesLocked writes the lease table (sorted by shard, one
-// atomic-ish tmp+rename, no fsync) next to the checkpoint. Best-effort
-// by design: the table is advisory — after a coordinator crash an
-// out-of-date or missing file costs at most one TTL of duplicate
-// compute, which idempotent Submit absorbs. Callers hold c.mu.
-func (c *Coordinator) persistLeasesLocked() {
-	if c.leasePath == "" {
-		return
-	}
-	ls := make([]Lease, 0, len(c.leases))
-	for _, l := range c.leases {
-		ls = append(ls, l)
-	}
-	sort.Slice(ls, func(i, j int) bool { return ls[i].Shard < ls[j].Shard })
-	data, err := json.Marshal(ls)
-	if err != nil {
-		return
-	}
-	tmp := c.leasePath + ".tmp"
-	if err := os.WriteFile(tmp, append(data, '\n'), 0o644); err != nil {
-		return
-	}
-	_ = os.Rename(tmp, c.leasePath)
-}
-
-// loadLeases restores persisted leases that are still live and cover
-// shards not already merged. Unreadable or stale entries are dropped —
-// the affected shards simply become grantable sooner.
-func (c *Coordinator) loadLeases() {
-	if c.leasePath == "" {
-		return
-	}
-	data, err := os.ReadFile(c.leasePath)
-	if err != nil {
-		return
-	}
-	var ls []Lease
-	if json.Unmarshal(data, &ls) != nil {
-		return
-	}
-	nowMS := c.now().UnixMilli()
-	for _, l := range ls {
-		if l.Shard < 0 || l.Shard >= c.eval.p.shards || c.present[l.Shard] || l.Expires <= nowMS {
-			continue
-		}
-		c.leases[l.Shard] = l
 	}
 }

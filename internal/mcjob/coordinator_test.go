@@ -3,8 +3,6 @@ package mcjob
 import (
 	"context"
 	"encoding/json"
-	"os"
-	"path/filepath"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -214,8 +212,9 @@ func TestSubmitRejectsWrongGeometry(t *testing.T) {
 }
 
 // TestCoordinatorCheckpointResume: a coordinator killed mid-run resumes
-// from its shard log, re-grants only unmerged shards, restores live
-// leases from the sidecar, and the final result is byte-identical.
+// from its shard log, re-grants only unmerged shards — the one leased
+// before the crash included, since leases live in memory only — and the
+// final result is byte-identical.
 func TestCoordinatorCheckpointResume(t *testing.T) {
 	dir := t.TempDir()
 	clk := newTestClock()
@@ -236,9 +235,6 @@ func TestCoordinatorCheckpointResume(t *testing.T) {
 		t.Fatalf("lease before crash: %+v", ls)
 	}
 	c1.Close()
-	if _, err := os.Stat(filepath.Join(dir, leaseFileName)); err != nil {
-		t.Fatalf("lease sidecar not persisted: %v", err)
-	}
 
 	c2, err := NewCoordinator(k, cfg, CoordinatorConfig{LeaseTTL: time.Minute, now: clk.now})
 	if err != nil {
@@ -248,16 +244,13 @@ func TestCoordinatorCheckpointResume(t *testing.T) {
 	if p := c2.Progress(); p.ShardsResumed != 2 || p.ShardsDone != 2 {
 		t.Fatalf("resumed progress: %+v", p)
 	}
-	// The restored lease on shard 2 is still live, so only shards 3 and 4
-	// are grantable.
-	if got := c2.Leasable(); got != 2 {
-		t.Fatalf("leasable after resume = %d, want 2 (shard 2 still leased)", got)
+	// The shard log is the only durable state: every unmerged shard is
+	// grantable at once, the one leased before the crash included.
+	if got := c2.Leasable(); got != 3 {
+		t.Fatalf("leasable after resume = %d, want 3 (every unmerged shard)", got)
 	}
-	// Expire the restored lease; RunLocal's workers reclaim shard 2 along
-	// with the never-leased shards.
-	clk.advance(2 * time.Minute)
 	if err := c2.RunLocal(context.Background(), "local", 2); err != nil {
-		t.Fatalf("run local after expiry: %v", err)
+		t.Fatalf("run local after resume: %v", err)
 	}
 	got, ok := c2.Result()
 	if !ok {

@@ -3,6 +3,7 @@ package mcjob
 import (
 	"context"
 	"fmt"
+	"runtime"
 
 	"repro/internal/stats"
 )
@@ -12,7 +13,7 @@ import (
 // replica that builds an evaluator from the same (kernel spec, trials,
 // shards, seed) computes the same geometry and the same per-chunk
 // streams, so a shard's partials are identical no matter which host
-// produced them. Run and Coordinator both execute through it.
+// produced them. The Coordinator's local workers execute through it too.
 //
 // EvalShard is safe for concurrent use: the evaluator's state (plan and
 // per-shard start streams) is immutable after construction.
@@ -99,6 +100,11 @@ func (e *ShardEvaluator) EvalShard(ctx context.Context, s int) ([]Partial, error
 			return nil, fmt.Errorf("mcjob: shard %d chunk %d: %w", s, c, err)
 		}
 		parts = append(parts, pt)
+		// A replica evaluates shards on every core while it serves
+		// requests; yielding after each chunk lets a handler that is
+		// ready to run get a CPU within a chunk instead of at the next
+		// async preemption, up to 10 ms of compute later.
+		runtime.Gosched()
 	}
 	return parts, nil
 }

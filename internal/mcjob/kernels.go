@@ -274,7 +274,7 @@ type waferMapKernel struct {
 
 // NewWaferMapKernel validates the wafer-map config and precomputes the
 // geometry. One trial is one wafer, so RunConfig.Trials must equal
-// c.Wafers — Run enforces this via the kernel's MaxTrials.
+// c.Wafers — NewShardEvaluator enforces this via the kernel's MaxTrials.
 func NewWaferMapKernel(c yield.WaferMapConfig) (Kernel, error) {
 	sim, err := yield.NewWaferSimulator(c)
 	if err != nil {

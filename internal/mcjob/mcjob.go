@@ -1,8 +1,11 @@
 // Package mcjob is the sharded Monte Carlo execution engine: it splits
 // one huge simulation — abstract defect yield, geometric layout defects,
 // cost Monte Carlo, wafer maps — into fixed-size shards of trial chunks,
-// evaluates shards concurrently on the worker pool, and merges partial
-// tallies online in canonical chunk order.
+// leases shards to workers in this process or on peer replicas, and
+// merges partial tallies online in canonical chunk order. The
+// Coordinator is the one engine: it owns the merger, the checkpoint and
+// the progress accounting, and Run is a Coordinator with no peers driven
+// by its own in-process workers.
 //
 // Determinism is the package's contract. Trials are divided into fixed
 // unit chunks whose size depends only on the kernel kind; each chunk
@@ -23,12 +26,7 @@ package mcjob
 
 import (
 	"context"
-	"strconv"
-	"sync"
-	"time"
 
-	"repro/internal/obs"
-	"repro/internal/parallel"
 	"repro/internal/stats"
 )
 
@@ -167,7 +165,7 @@ func newPlan(trials, chunkTrials int64, shards int) plan {
 	return p
 }
 
-// NormalizedShards reports the shard count Run actually uses for a
+// NormalizedShards reports the shard count a run actually uses for a
 // kernel with unit chunks of chunkTrials: the caller's choice with the
 // default applied and the chunk-count clamp, exactly as the execution
 // plan resolves it. The serve layer canonicalizes job specs through this
@@ -230,124 +228,26 @@ type Kernel interface {
 
 // trialBounded is implemented by kernels whose spec fixes the trial
 // count (the wafer-map kernel simulates exactly its configured lot);
-// Run rejects a mismatched RunConfig.Trials instead of indexing past
-// the precomputed per-wafer state.
+// NewShardEvaluator rejects a mismatched RunConfig.Trials instead of
+// indexing past the precomputed per-wafer state.
 type trialBounded interface {
 	MaxTrials() int64
 }
 
-// Run executes the sharded simulation and returns the merged result.
-// The result depends only on (kernel spec, Trials, Seed): Shards,
-// Workers, scheduling, and any checkpoint/resume history are all
+// Run executes the sharded simulation on this process's cores and
+// returns the merged result: a Coordinator with no peers, driven by its
+// own RunLocal. The result depends only on (kernel spec, Trials, Seed):
+// Shards, Workers, scheduling, and any checkpoint/resume history are all
 // invisible in the output, bit for bit.
 func Run(ctx context.Context, k Kernel, cfg RunConfig) (Result, error) {
-	eval, err := NewShardEvaluator(k, cfg)
+	c, err := NewCoordinator(k, cfg, CoordinatorConfig{})
 	if err != nil {
 		return Result{}, err
 	}
-	p := eval.p
-	cfg.Shards = p.shards // normalized count is what Finalize reports
-
-	ctx, span := obs.StartSpan(ctx, "mcjob.run")
-	if span != nil {
-		span.SetAttr("kind", k.Kind())
-		span.SetAttr("trials", strconv.FormatInt(cfg.Trials, 10))
-		span.SetAttr("shards", strconv.Itoa(p.shards))
-		defer span.End()
-	}
-
-	// Restore completed shards from the checkpoint, if any.
-	var cp *checkpoint
-	restored := map[int][]Partial{}
-	if cfg.CheckpointDir != "" {
-		var err error
-		cp, restored, err = openCheckpoint(cfg.CheckpointDir, manifest{
-			Version: checkpointVersion, Kind: k.Kind(),
-			Trials: cfg.Trials, ChunkTrials: p.chunkTrials,
-			Shards: p.shards, Seed: cfg.Seed, SpecHash: cfg.SpecHash,
-		}, p)
-		if err != nil {
-			return Result{}, err
-		}
-		defer cp.close()
-	}
-
-	// Online merger: completed shard partials park in byShard until the
-	// cursor reaches them, then fold in ascending chunk order. Shards
-	// restored from the checkpoint enter the same machinery.
-	var (
-		mu      sync.Mutex
-		tally   Tally
-		byShard = make([][]Partial, p.shards)
-		present = make([]bool, p.shards)
-		cursor  int
-	)
-	advance := func() {
-		for cursor < p.shards && present[cursor] {
-			for _, pt := range byShard[cursor] {
-				tally.fold(pt)
-			}
-			byShard[cursor] = nil
-			cursor++
-		}
-	}
-	prog := Progress{Shards: p.shards, Trials: cfg.Trials, LastShard: -1}
-	if cp != nil {
-		prog.CheckpointSkipped = cp.skippedRecords
-	}
-	pending := make([]int, 0, p.shards)
-	for s := 0; s < p.shards; s++ {
-		if parts, ok := restored[s]; ok {
-			byShard[s] = parts
-			present[s] = true
-			prog.ShardsDone++
-			prog.ShardsResumed++
-			prog.TrialsDone += p.shardTrials(s)
-		} else {
-			pending = append(pending, s)
-		}
-	}
-	prog.TrialsResumed = prog.TrialsDone
-	advance()
-	if span != nil {
-		span.SetAttr("resumed", strconv.Itoa(prog.ShardsResumed))
-		if prog.CheckpointSkipped > 0 {
-			span.SetAttr("checkpoint_skipped", strconv.Itoa(prog.CheckpointSkipped))
-		}
-	}
-	if cfg.OnProgress != nil && (prog.ShardsResumed > 0 || prog.CheckpointSkipped > 0) {
-		cfg.OnProgress(prog)
-	}
-
-	err = parallel.ForEach(ctx, len(pending), cfg.Workers, func(i int) error {
-		s := pending[i]
-		start := time.Now()
-		parts, err := eval.EvalShard(ctx, s)
-		if err != nil {
-			return err
-		}
-		if cp != nil {
-			if err := cp.writeShard(s, parts); err != nil {
-				return err
-			}
-		}
-		mu.Lock()
-		byShard[s] = parts
-		present[s] = true
-		advance()
-		prog.ShardsDone++
-		prog.TrialsDone += p.shardTrials(s)
-		prog.LastShard = s
-		prog.LastShardSeconds = time.Since(start).Seconds()
-		snapshot := prog
-		mu.Unlock()
-		if cfg.OnProgress != nil {
-			cfg.OnProgress(snapshot)
-		}
-		return nil
-	})
-	if err != nil {
+	defer c.Close()
+	if err := c.RunLocal(ctx, "local", cfg.Workers); err != nil {
 		return Result{}, err
 	}
-	return k.Finalize(tally, cfg), nil
+	res, _ := c.Result()
+	return res, nil
 }

@@ -22,7 +22,7 @@ func TestForEachChunkGroupedVisitsEveryChunkOnce(t *testing.T) {
 		chunks := Chunks(tc.n, tc.chunkSize)
 		visits := make([]atomic.Int64, chunks)
 		covered := make([]atomic.Int64, tc.n)
-		err := ForEachChunkGrouped(context.Background(), tc.n, tc.chunkSize, tc.workers, tc.group, func(c, lo, hi int) error {
+		err := forEachChunkGrouped(context.Background(), tc.n, tc.chunkSize, tc.workers, tc.group, nil, func(c, lo, hi int) error {
 			visits[c].Add(1)
 			if lo != c*tc.chunkSize || hi <= lo || hi > tc.n {
 				return fmt.Errorf("chunk %d got bounds [%d, %d)", c, lo, hi)
@@ -55,7 +55,7 @@ func TestForEachChunkGroupedDeterministicAcrossGroups(t *testing.T) {
 	const n, chunkSize = 1000, 16
 	eval := func(workers, group int) []float64 {
 		out := make([]float64, n)
-		err := ForEachChunkGrouped(context.Background(), n, chunkSize, workers, group, func(c, lo, hi int) error {
+		err := forEachChunkGrouped(context.Background(), n, chunkSize, workers, group, nil, func(c, lo, hi int) error {
 			acc := float64(c)
 			for i := lo; i < hi; i++ {
 				acc = acc*1.0000001 + float64(i)
@@ -83,7 +83,7 @@ func TestForEachChunkGroupedDeterministicAcrossGroups(t *testing.T) {
 
 func TestForEachChunkGroupedStopsOnError(t *testing.T) {
 	boom := errors.New("boom")
-	err := ForEachChunkGrouped(context.Background(), 100, 5, 2, 4, func(c, lo, hi int) error {
+	err := forEachChunkGrouped(context.Background(), 100, 5, 2, 4, nil, func(c, lo, hi int) error {
 		if c == 7 {
 			return boom
 		}
@@ -180,14 +180,17 @@ func TestMapAllTunedMatchesMapAll(t *testing.T) {
 		}
 		return i * i, nil
 	}
-	refOut, refErrs, stop := MapAll(context.Background(), n, 2, fn)
+	refOut, refErrs, stop := mapAll(context.Background(), n, 2, nil, fn)
 	if stop != nil {
 		t.Fatal(stop)
 	}
 	var tn ChunkTuner
 	tn.note(100, 1e-4) // light items: force real grouping
+	if g := tn.Group(n, 4); g <= 1 {
+		t.Fatalf("tuner groups %d items per task, want real grouping", g)
+	}
 	for _, workers := range []int{1, 2, 4} {
-		out, errs, stop := MapAllTuned(context.Background(), n, workers, &tn, fn)
+		out, errs, stop := mapAll(context.Background(), n, workers, &tn, fn)
 		if stop != nil {
 			t.Fatal(stop)
 		}
@@ -205,8 +208,9 @@ func TestMapAllTunedMatchesMapAll(t *testing.T) {
 func TestMapAllTunedContextCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	out, errs, stop := MapAllTuned(ctx, 100, 2, nil, func(i int) (int, error) { return i, nil })
-	if stop == nil || out != nil || errs != nil {
-		t.Fatalf("dead context: out=%v errs=%v stop=%v", out, errs, stop)
+	var tn ChunkTuner
+	tn.note(100, 1e-4)
+	if _, _, stop := mapAll(ctx, 100, 2, &tn, func(i int) (int, error) { return i, nil }); !errors.Is(stop, context.Canceled) {
+		t.Fatalf("dead context: stop = %v, want context.Canceled", stop)
 	}
 }

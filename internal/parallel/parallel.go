@@ -1,5 +1,6 @@
 // Package parallel is the repository's deterministic parallel execution
-// engine: a bounded worker pool with ForEach/Map/MapReduce primitives,
+// engine: a bounded worker pool with ForEach, Map, chunked
+// (ForEachChunkTuned) and error-isolating (MapAllInto) primitives,
 // context cancellation and first-error propagation.
 //
 // The package exists to make the Monte Carlo, wafer-map, sweep and layout
@@ -8,9 +9,9 @@
 //
 //   - Work is partitioned by index (or by fixed-size chunk), never by
 //     worker, so the partitioning depends only on the problem size.
-//   - Results are written into index-addressed slots and reductions run
-//     in index order after the pool drains, so the output is byte-identical
-//     for any worker count, including 1.
+//   - Results are written into index-addressed slots and callers reduce
+//     them in index order after the pool drains, so the output is
+//     byte-identical for any worker count, including 1.
 //   - Randomized work derives one RNG stream per index/chunk from the
 //     caller's seed (see stats.RNG.SplitN and stats.StreamSeed), never a
 //     shared stream, so scheduling order cannot leak into the numbers.
@@ -172,34 +173,17 @@ func Chunks(n, chunkSize int) int {
 	return (n + chunkSize - 1) / chunkSize
 }
 
-// ForEachChunk partitions [0, n) into fixed chunks of chunkSize items and
-// executes fn(chunk, lo, hi) for each half-open range [lo, hi). Chunk
-// boundaries depend only on (n, chunkSize), so per-chunk RNG streams give
-// results independent of the worker count. Each chunk's queue-wait
-// (submission to pickup) and execution time feed the package's telemetry
-// histograms.
-func ForEachChunk(ctx context.Context, n, chunkSize, workers int, fn func(chunk, lo, hi int) error) error {
-	return forEachChunkGrouped(ctx, n, chunkSize, workers, 1, nil, fn)
-}
-
-// ForEachChunkGrouped is ForEachChunk with explicit task granularity: one
-// scheduled task covers `group` consecutive unit chunks (group <= 0 means
-// 1). fn still receives every unit chunk (c, lo, hi) exactly once, in
-// ascending order within a task, so unit-chunk-keyed RNG streams and
-// index-addressed writes are byte-identical for EVERY group value — the
-// group only decides which goroutine runs a chunk, never what the chunk
-// computes. Determinism regression tests sweep group over {1, default,
-// huge} on exactly this guarantee.
-func ForEachChunkGrouped(ctx context.Context, n, chunkSize, workers, group int, fn func(chunk, lo, hi int) error) error {
-	return forEachChunkGrouped(ctx, n, chunkSize, workers, group, nil, fn)
-}
-
-// ForEachChunkTuned is ForEachChunk with adaptive task granularity: the
-// tuner picks how many unit chunks one scheduled task covers (from its
-// measured per-chunk execution history) and is fed this job's timings in
-// return. A nil tuner degrades to ForEachChunk. The chosen group size is
-// recorded on the job's span ("parallel.chunks", attributes chunk_size /
-// group / chunks), so tuning decisions are observable per trace.
+// ForEachChunkTuned partitions [0, n) into fixed unit chunks of
+// chunkSize items and executes fn(chunk, lo, hi) for each half-open range
+// [lo, hi). Chunk boundaries depend only on (n, chunkSize), so per-chunk
+// RNG streams give results independent of the worker count. The tuner
+// picks how many unit chunks one scheduled task covers (from its measured
+// per-chunk execution history) and is fed this job's timings in return;
+// a nil tuner schedules chunk by chunk. The chosen group size is recorded
+// on the job's span ("parallel.chunks", attributes chunk_size / group /
+// chunks), so tuning decisions are observable per trace, and each task's
+// queue-wait (submission to pickup) and execution time feed the package's
+// telemetry histograms.
 func ForEachChunkTuned(ctx context.Context, n, chunkSize, workers int, t *ChunkTuner, fn func(chunk, lo, hi int) error) error {
 	group := 1
 	if t != nil {
@@ -209,10 +193,14 @@ func ForEachChunkTuned(ctx context.Context, n, chunkSize, workers int, t *ChunkT
 }
 
 // forEachChunkGrouped is the shared chunked executor: it schedules
-// Chunks(n, chunkSize) unit chunks in tasks of `group`, observes one
-// queue-wait/exec histogram sample per task (amortized over the group, so
-// telemetry cost cannot grow with item count), and feeds the tuner when
-// present.
+// Chunks(n, chunkSize) unit chunks in tasks of `group` consecutive chunks
+// (group < 1 means 1), observes one queue-wait/exec histogram sample per
+// task (amortized over the group, so telemetry cost cannot grow with item
+// count), and feeds the tuner when present. fn still receives every unit
+// chunk exactly once, in ascending order within a task, so unit-chunk-
+// keyed RNG streams and index-addressed writes are byte-identical for
+// every group value: the group only decides which goroutine runs a chunk,
+// never what the chunk computes.
 func forEachChunkGrouped(ctx context.Context, n, chunkSize, workers, group int, t *ChunkTuner, fn func(chunk, lo, hi int) error) error {
 	if chunkSize <= 0 {
 		return fmt.Errorf("parallel: chunk size must be positive, got %d", chunkSize)
@@ -276,62 +264,23 @@ func Map[T any](ctx context.Context, n, workers int, fn func(i int) (T, error)) 
 	return out, nil
 }
 
-// MapAll evaluates fn(i) for every i in [0, n) in parallel with per-item
-// error isolation: unlike Map, one item's failure does not cancel the
-// remaining items — it lands in errs[i] and the rest of the batch keeps
-// going. Only a dead context stops the batch early (returned as stop, with
-// out and errs nil); a worker panic is re-raised. Results and errors are
-// written into index-addressed slots, so both slices are identical for any
-// worker count. It is the engine behind batch serving, where scenario i
+// MapAllInto evaluates fn(i) for every i in [0, len(out)) in parallel
+// with per-item error isolation: unlike Map, one item's failure does not
+// cancel the remaining items — it lands in errs[i] and the rest of the
+// batch keeps going. Only a dead context stops the batch early (returned
+// as stop, with the buffers' contents unspecified); a worker panic is
+// re-raised. It is the engine behind batch serving, where scenario i
 // being out of domain must not poison scenarios j != i.
-func MapAll[T any](ctx context.Context, n, workers int, fn func(i int) (T, error)) (out []T, errs []error, stop error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	out = make([]T, n)
-	errs = make([]error, n)
-	stop = run(ctx, n, workers, func(i int) error {
-		v, err := fn(i)
-		if cerr := ctx.Err(); cerr != nil {
-			// The context died mid-item: abort the batch rather than
-			// recording a cancellation as an item-level verdict.
-			return cerr
-		}
-		if err != nil {
-			errs[i] = err
-			return nil
-		}
-		out[i] = v
-		return nil
-	})
-	if stop != nil {
-		return nil, nil, stop
-	}
-	return out, errs, nil
-}
-
-// MapAllTuned is MapAll with adaptive scheduling granularity: items are
-// executed in tuner-sized groups of consecutive indices instead of one
-// scheduled task per item, which is what lets a 1024-item batch of
-// microsecond evaluations stop paying per-item pickup overhead. Error
-// isolation, index-addressed results and worker-count independence are
-// exactly MapAll's; a nil tuner schedules item by item.
-func MapAllTuned[T any](ctx context.Context, n, workers int, t *ChunkTuner, fn func(i int) (T, error)) (out []T, errs []error, stop error) {
-	out = make([]T, n)
-	errs = make([]error, n)
-	if stop = MapAllInto(ctx, out, errs, workers, t, fn); stop != nil {
-		return nil, nil, stop
-	}
-	return out, errs, nil
-}
-
-// MapAllInto is MapAllTuned writing into caller-owned buffers: out and
-// errs must have equal length, and every slot is overwritten (stale
-// contents from a previous use cannot leak through). It exists for
-// arena-style batch serving, where the result buffers are pooled across
-// requests instead of allocated per call — steady state it performs no
-// per-item allocation of its own. On a dead context it returns stop with
-// the buffers' contents unspecified.
+//
+// Results and errors are written into the caller-owned, index-addressed
+// buffers out and errs, which must have equal length; every slot is
+// overwritten (stale contents from a previous use cannot leak through),
+// so both are identical for any worker count and the buffers can be
+// pooled across requests — steady state it performs no per-item
+// allocation of its own. Items run in tuner-sized groups of consecutive
+// indices (a nil tuner schedules item by item), which is what lets a
+// 1024-item batch of microsecond evaluations stop paying per-item pickup
+// overhead.
 func MapAllInto[T any](ctx context.Context, out []T, errs []error, workers int, t *ChunkTuner, fn func(i int) (T, error)) (stop error) {
 	if len(out) != len(errs) {
 		return fmt.Errorf("parallel: MapAllInto buffers disagree: %d results vs %d errors", len(out), len(errs))
@@ -366,22 +315,6 @@ func groupFor(t *ChunkTuner, chunks, workers int) int {
 		return 1
 	}
 	return t.Group(chunks, workers)
-}
-
-// MapReduce evaluates fn(i) in parallel and folds the results with reduce
-// strictly in index order: acc = reduce(acc, fn(0)), then fn(1), … — so
-// non-associative or floating-point reductions are still deterministic.
-func MapReduce[T, R any](ctx context.Context, n, workers int, zero R, fn func(i int) (T, error), reduce func(acc R, v T) R) (R, error) {
-	vals, err := Map(ctx, n, workers, fn)
-	if err != nil {
-		var r R
-		return r, err
-	}
-	acc := zero
-	for _, v := range vals {
-		acc = reduce(acc, v)
-	}
-	return acc, nil
 }
 
 // Do runs the given functions concurrently (bounded by the default worker

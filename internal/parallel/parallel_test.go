@@ -140,7 +140,7 @@ func TestForEachChunkCoversRangeExactly(t *testing.T) {
 	for _, workers := range []int{1, 3, 8} {
 		const n, size = 1003, 64
 		seen := make([]atomic.Int64, n)
-		err := ForEachChunk(context.Background(), n, size, workers, func(chunk, lo, hi int) error {
+		err := ForEachChunkTuned(context.Background(), n, size, workers, nil, func(chunk, lo, hi int) error {
 			if lo != chunk*size {
 				return fmt.Errorf("chunk %d: lo = %d", chunk, lo)
 			}
@@ -164,7 +164,7 @@ func TestForEachChunkCoversRangeExactly(t *testing.T) {
 }
 
 func TestForEachChunkRejectsBadChunkSize(t *testing.T) {
-	if err := ForEachChunk(context.Background(), 10, 0, 1, func(int, int, int) error { return nil }); err == nil {
+	if err := ForEachChunkTuned(context.Background(), 10, 0, 1, nil, func(int, int, int) error { return nil }); err == nil {
 		t.Fatal("accepted chunk size 0")
 	}
 }
@@ -206,28 +206,6 @@ func TestMapErrorDropsResults(t *testing.T) {
 	}
 }
 
-func TestMapReduceDeterministicOrder(t *testing.T) {
-	// Floating-point summation is order-sensitive; MapReduce guarantees
-	// index-order folding, so every worker count produces the same bits.
-	const n = 2000
-	ref := 0.0
-	for i := 0; i < n; i++ {
-		ref += 1.0 / float64(i+1)
-	}
-	for _, workers := range []int{1, 2, 4, 8} {
-		got, err := MapReduce(context.Background(), n, workers, 0.0,
-			func(i int) (float64, error) { return 1.0 / float64(i+1), nil },
-			func(acc, v float64) float64 { return acc + v },
-		)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != ref {
-			t.Fatalf("workers=%d: sum = %x, want %x", workers, got, ref)
-		}
-	}
-}
-
 func TestDoRunsAllAndPropagatesError(t *testing.T) {
 	var a, b atomic.Bool
 	if err := Do(context.Background(),
@@ -248,6 +226,13 @@ func TestDoRunsAllAndPropagatesError(t *testing.T) {
 	}
 }
 
+// mapAll runs MapAllInto into fresh buffers.
+func mapAll[T any](ctx context.Context, n, workers int, t *ChunkTuner, fn func(i int) (T, error)) ([]T, []error, error) {
+	out, errs := make([]T, n), make([]error, n)
+	stop := MapAllInto(ctx, out, errs, workers, t, fn)
+	return out, errs, stop
+}
+
 // TestMapAllIsolatesItemErrors: a failing item must not cancel its
 // neighbours; results and errors stay index-addressed for any worker count.
 func TestMapAllIsolatesItemErrors(t *testing.T) {
@@ -255,7 +240,7 @@ func TestMapAllIsolatesItemErrors(t *testing.T) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			const n = 64
-			out, errs, stop := MapAll(context.Background(), n, workers, func(i int) (int, error) {
+			out, errs, stop := mapAll(context.Background(), n, workers, nil, func(i int) (int, error) {
 				if i%5 == 0 {
 					return 0, fmt.Errorf("item %d: %w", i, boom)
 				}
@@ -286,7 +271,7 @@ func TestMapAllIsolatesItemErrors(t *testing.T) {
 // workers — the batch-serving ordering contract.
 func TestMapAllDeterministicAcrossWorkers(t *testing.T) {
 	run := func(workers int) ([]float64, []error) {
-		out, errs, stop := MapAll(context.Background(), 100, workers, func(i int) (float64, error) {
+		out, errs, stop := mapAll(context.Background(), 100, workers, nil, func(i int) (float64, error) {
 			if i == 17 || i == 63 {
 				return 0, errors.New("bad point")
 			}
@@ -308,17 +293,21 @@ func TestMapAllDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestMapAllContextCancellationAborts: a dead context stops the batch and
-// is returned as stop, with nil slices.
+// TestMapAllContextCancellation: a dead context stops the batch before
+// any item runs and is returned as stop.
 func TestMapAllContextCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	out, errs, stop := MapAll(ctx, 32, 4, func(i int) (int, error) { return i, nil })
+	var evaluated atomic.Int64
+	_, _, stop := mapAll(ctx, 32, 4, nil, func(i int) (int, error) {
+		evaluated.Add(1)
+		return i, nil
+	})
 	if !errors.Is(stop, context.Canceled) {
 		t.Fatalf("stop = %v, want context.Canceled", stop)
 	}
-	if out != nil || errs != nil {
-		t.Fatalf("out/errs = %v/%v, want nil on abort", out, errs)
+	if n := evaluated.Load(); n != 0 {
+		t.Fatalf("%d items evaluated on a dead context", n)
 	}
 }
 
@@ -327,7 +316,7 @@ func TestMapAllContextCancellation(t *testing.T) {
 func TestMapAllMidItemCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	var evaluated atomic.Int64
-	_, _, stop := MapAll(ctx, 1000, 4, func(i int) (int, error) {
+	_, _, stop := mapAll(ctx, 1000, 4, nil, func(i int) (int, error) {
 		if evaluated.Add(1) == 10 {
 			cancel()
 		}

@@ -90,7 +90,7 @@ func (s *Server) handleJobsOpen(w http.ResponseWriter, r *http.Request) (any, er
 	}
 	s.jobs.mu.Unlock()
 	for _, j := range jobs {
-		if j.coord == nil || j.terminal() {
+		if !j.distributed || j.terminal() {
 			continue
 		}
 		leasable := j.coord.Leasable()
@@ -115,9 +115,9 @@ func (s *Server) distributedJob(r *http.Request) (*job, error) {
 	if j == nil {
 		return nil, jobNotFound(r)
 	}
-	if j.coord == nil {
+	if !j.distributed {
 		return nil, &apiError{status: http.StatusConflict, code: "job_not_distributed",
-			err: fmt.Errorf("job %s runs without a shard-lease coordinator", j.id)}
+			err: fmt.Errorf("job %s is not open to peer replicas", j.id)}
 	}
 	return j, nil
 }

@@ -230,12 +230,14 @@ type job struct {
 	checkpoint bool
 	done       chan struct{}
 	cancel     context.CancelFunc
-	// coord is non-nil for distributed jobs: the lease/partials handlers
-	// feed remote shard uploads into it. specJSON is the submitted
-	// jobRequest, re-served at /v1/jobs/open so workers can rebuild the
-	// kernel and evaluator from the spec alone.
-	coord    *mcjob.Coordinator
-	specJSON json.RawMessage
+	// coord runs the job: this replica's workers lease, evaluate and
+	// submit its shards. A distributed job also takes remote lease and
+	// partials calls and is listed at /v1/jobs/open, with specJSON — the
+	// submitted jobRequest — so workers can rebuild the kernel and
+	// evaluator from the spec alone.
+	coord       *mcjob.Coordinator
+	distributed bool
+	specJSON    json.RawMessage
 	// events is the job's lifecycle timeline, served at
 	// /v1/jobs/{id}/events and journaled beside the shard log when the
 	// job checkpoints.
@@ -297,7 +299,7 @@ func (j *job) status() jobStatusJSON {
 		Shards: j.prog.Shards, ShardsDone: j.prog.ShardsDone,
 		ShardsResumed: j.prog.ShardsResumed,
 		Checkpoint:    j.checkpoint,
-		Distributed:   j.coord != nil,
+		Distributed:   j.distributed,
 		ElapsedSec:    elapsed,
 		Error:         j.errMsg,
 	}
@@ -331,11 +333,11 @@ type jobManager struct {
 	tracer     *obs.Tracer // optional; set by the server after construction
 	dir        string
 	maxRunning int
-	// distribute runs every job through a lease-granting Coordinator so
-	// peer replicas can pull shards; owner names this replica's local
-	// worker in the lease table, leaseTTL is the shard-lease lifetime and
-	// localWorkers sizes the in-process worker loop (-1 disables local
-	// evaluation entirely — a pure coordinator).
+	// distribute opens every job's Coordinator to peer replicas, which
+	// then pull its shards; owner names this replica's local worker in the
+	// lease table, leaseTTL is the shard-lease lifetime and localWorkers
+	// sizes the in-process worker loop (-1 disables local evaluation
+	// entirely — a pure coordinator, which needs distribute).
 	distribute   bool
 	owner        string
 	leaseTTL     time.Duration
@@ -346,6 +348,7 @@ type jobManager struct {
 	wg        sync.WaitGroup
 	stopOnce  sync.Once
 
+	startMu sync.Mutex // serializes job starts; taken before mu
 	mu      sync.Mutex
 	jobs    map[string]*job
 	order   []string // insertion order, for eviction
@@ -378,17 +381,22 @@ func (m *jobManager) startOrAttach(req jobRequest) (*job, bool, error) {
 	}
 	id, specHash := jobID(req, k)
 
+	// The coordinator is built under startMu, not mu: a big job's RNG
+	// stream walk (about 1 µs per chunk, 0.5 s at 4×10⁹ trials) and its
+	// checkpoint open would otherwise stall every status, result and
+	// lease call. Only a start can raise m.running, so the saturation
+	// check stays true until the job is registered.
+	m.startMu.Lock()
+	defer m.startMu.Unlock()
 	m.mu.Lock()
-	defer m.mu.Unlock()
-	if existing, ok := m.jobs[id]; ok {
+	existing, running := m.jobs[id], m.running
+	m.mu.Unlock()
+	if existing != nil {
 		return existing, false, nil
 	}
-	if m.running >= m.maxRunning {
+	if running >= m.maxRunning {
 		return nil, false, &apiError{status: http.StatusTooManyRequests, code: "jobs_saturated",
 			err: fmt.Errorf("server at its %d-job concurrency limit", m.maxRunning)}
-	}
-	if err := m.baseCtx.Err(); err != nil {
-		return nil, false, fmt.Errorf("job manager shutting down")
 	}
 
 	runCtx, cancel := context.WithCancel(m.baseCtx)
@@ -401,7 +409,6 @@ func (m *jobManager) startOrAttach(req jobRequest) (*job, bool, error) {
 		started:    time.Now(),
 		events:     mcjob.NewEventLog(0),
 	}
-	distributed := m.distribute
 	cfg := mcjob.RunConfig{
 		Trials: req.Trials, Shards: req.Shards, Seed: req.Seed,
 		SpecHash: specHash,
@@ -412,11 +419,6 @@ func (m *jobManager) startOrAttach(req jobRequest) (*job, bool, error) {
 			j.mu.Unlock()
 			if p.LastShard >= 0 {
 				m.metrics.jobShardSeconds.Observe(p.LastShardSeconds)
-				if !distributed {
-					// Distributed runs get per-shard events from the
-					// coordinator itself; local runs record merges here.
-					j.events.Append(mcjob.EventShardMerged, p.LastShard, m.owner, "")
-				}
 			}
 			if live := p.TrialsDone - p.TrialsResumed; live > 0 && elapsed > 0 {
 				m.metrics.jobTrialsPerSec.Set(float64(live) / elapsed)
@@ -434,33 +436,38 @@ func (m *jobManager) startOrAttach(req jobRequest) (*job, bool, error) {
 	j.events.Append(mcjob.EventSubmitted, -1, "",
 		fmt.Sprintf("kind=%s trials=%d", k.Kind(), req.Trials))
 
-	if m.distribute {
-		coord, err := mcjob.NewCoordinator(k, cfg, mcjob.CoordinatorConfig{LeaseTTL: m.leaseTTL, Events: j.events})
-		if err != nil {
-			cancel()
-			j.events.Close()
-			if errors.Is(err, mcjob.ErrCheckpointMismatch) {
-				return nil, false, &apiError{status: http.StatusConflict, code: "checkpoint_mismatch", err: err}
-			}
-			return nil, false, err
+	coord, err := mcjob.NewCoordinator(k, cfg, mcjob.CoordinatorConfig{LeaseTTL: m.leaseTTL, Events: j.events})
+	if err != nil {
+		cancel()
+		j.events.Close()
+		if errors.Is(err, mcjob.ErrCheckpointMismatch) {
+			return nil, false, &apiError{status: http.StatusConflict, code: "checkpoint_mismatch", err: err}
 		}
-		j.coord = coord
+		return nil, false, err
+	}
+	j.coord = coord
+	if m.distribute {
+		j.distributed = true
 		if spec, err := json.Marshal(req); err == nil {
 			j.specJSON = spec
 		}
 	}
 
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if err := m.baseCtx.Err(); err != nil {
+		cancel()
+		coord.Close()
+		j.events.Close()
+		return nil, false, fmt.Errorf("job manager shutting down")
+	}
 	m.jobs[id] = j
 	m.order = append(m.order, id)
 	m.evictLocked()
 	m.running++
 	m.metrics.jobsTotal.With("submitted").Inc()
 	m.wg.Add(1)
-	if j.coord != nil {
-		go m.runDistributed(runCtx, j)
-	} else {
-		go m.run(runCtx, j, k, cfg)
-	}
+	go m.run(runCtx, j)
 	return j, true, nil
 }
 
@@ -480,34 +487,13 @@ func (m *jobManager) traceJob(ctx context.Context, j *job) (context.Context, *ob
 	return ctx, sp
 }
 
-// run executes the job to a terminal state.
-func (m *jobManager) run(ctx context.Context, j *job, k mcjob.Kernel, cfg mcjob.RunConfig) {
-	defer m.wg.Done()
-	defer close(j.done)
-	ctx, span := m.traceJob(ctx, j)
-	defer span.End()
-	var (
-		res    mcjob.Result
-		runErr error
-	)
-	func() {
-		defer func() {
-			if r := recover(); r != nil {
-				runErr = fmt.Errorf("job panicked: %v", r)
-			}
-		}()
-		res, runErr = mcjob.Run(ctx, k, cfg)
-	}()
-	m.finishJob(j, res, runErr)
-}
-
-// runDistributed drives a coordinator-owned job: this replica's local
-// workers participate through the same lease protocol remote replicas
-// use over HTTP, so the job finishes when the canonical fold covers
-// every shard no matter who computed what. A local evaluation error
-// fails the job (shard errors are deterministic — every replica would
-// hit the same one).
-func (m *jobManager) runDistributed(ctx context.Context, j *job) {
+// run drives the job's coordinator to a terminal state. This replica's
+// local workers take part through the same lease protocol remote
+// replicas use over HTTP, so the job finishes when the canonical fold
+// covers every shard no matter who computed what. A local evaluation
+// error fails the job (shard errors are deterministic — every replica
+// would hit the same one).
+func (m *jobManager) run(ctx context.Context, j *job) {
 	defer m.wg.Done()
 	defer close(j.done)
 	defer j.coord.Close()

@@ -5,7 +5,10 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -230,6 +233,85 @@ func TestJobCheckpointResumeByteIdentical(t *testing.T) {
 	_, _, raw2 := rawDo(t, s2, "GET", "/v1/jobs/"+id+"/result", "")
 	if !bytes.Equal(raw1, raw2) {
 		t.Fatalf("resumed result differs:\n%s\n%s", raw1, raw2)
+	}
+}
+
+// TestJobCheckpointMismatchConflicts: a job whose checkpoint directory
+// holds another spec's manifest is refused at submit with 409
+// checkpoint_mismatch and never tracked — on a plain replica exactly as
+// on a -distribute one, since both build the job's coordinator there.
+func TestJobCheckpointMismatchConflicts(t *testing.T) {
+	spec := `{"kind":"defect","trials":100000,"shards":2,"seed":3,"checkpoint":true,"defect":{"lambda":1}}`
+	var req jobRequest
+	if err := json.Unmarshal([]byte(spec), &req); err != nil {
+		t.Fatal(err)
+	}
+	k, err := buildKernel(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, _ := jobID(req, k)
+	for _, distribute := range []bool{false, true} {
+		dir := t.TempDir()
+		if err := os.MkdirAll(filepath.Join(dir, id), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		other := `{"version":1,"kind":"defect","trials":1,"chunk_trials":8192,"shards":1,"seed":3}` + "\n"
+		if err := os.WriteFile(filepath.Join(dir, id, "MANIFEST.json"), []byte(other), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s := newTestServer(t, Config{JobDir: dir, DistributeJobs: distribute})
+		code, _, body := do(t, s, "POST", "/v1/jobs", spec)
+		if code != http.StatusConflict || errCode(t, body) != "checkpoint_mismatch" {
+			t.Fatalf("distribute=%v: submit over another spec's checkpoint = %d %v, want 409 checkpoint_mismatch", distribute, code, body)
+		}
+		if code, _, body := do(t, s, "GET", "/v1/jobs/"+id, ""); code != http.StatusNotFound {
+			t.Fatalf("distribute=%v: refused job is tracked: %d %v", distribute, code, body)
+		}
+	}
+}
+
+// TestJobConcurrentSubmitsAttach: identical checkpointed submits racing
+// each other create one job and one coordinator — the first answers 202,
+// every other attaches with 200 — so the shard log is never opened by
+// two coordinators at once.
+func TestJobConcurrentSubmitsAttach(t *testing.T) {
+	s := newTestServer(t, Config{JobDir: t.TempDir(), MaxInFlight: 64})
+	spec := `{"kind":"defect","trials":4000000,"shards":8,"seed":2,"checkpoint":true,"defect":{"lambda":1}}`
+	const n = 8
+	codes := make([]int, n)
+	ids := make([]string, n)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			rec := httptest.NewRecorder()
+			s.Handler().ServeHTTP(rec, httptest.NewRequest("POST", "/v1/jobs", strings.NewReader(spec)))
+			codes[i] = rec.Code
+			var st jobStatusJSON
+			if json.Unmarshal(rec.Body.Bytes(), &st) == nil {
+				ids[i] = st.ID
+			}
+		}(i)
+	}
+	wg.Wait()
+	created := 0
+	for i := range codes {
+		if codes[i] == http.StatusAccepted {
+			created++
+		} else if codes[i] != http.StatusOK {
+			t.Fatalf("submit %d = %d, want 202 or 200", i, codes[i])
+		}
+		if ids[i] == "" || ids[i] != ids[0] {
+			t.Fatalf("submit %d answered job %q, want %q", i, ids[i], ids[0])
+		}
+	}
+	if created != 1 {
+		t.Fatalf("%d submits created a job, want exactly 1", created)
+	}
+	if final := waitForJob(t, s, ids[0]); final["state"] != "done" {
+		t.Fatalf("final state = %v (%v)", final["state"], final["error"])
 	}
 }
 

@@ -126,10 +126,10 @@ type Config struct {
 	// also enables DistributeJobs, so a mesh of replicas pointed at each
 	// other shares every job.
 	Peers []string
-	// DistributeJobs runs this daemon's jobs through the shard-lease
-	// coordinator, exposing them at /v1/jobs/open for peer workers.
-	// Implied by a non-empty Peers; set it alone for a coordinator whose
-	// workers live elsewhere.
+	// DistributeJobs opens this daemon's jobs to peer workers: they are
+	// listed at /v1/jobs/open and take lease and partials calls. Implied
+	// by a non-empty Peers; set it alone for a coordinator whose workers
+	// live elsewhere.
 	DistributeJobs bool
 	// LeaseTTL is the distributed shard-lease lifetime (default 10s): a
 	// worker renews at TTL/3, and a dead worker's shards are re-granted
@@ -137,10 +137,10 @@ type Config struct {
 	LeaseTTL time.Duration
 	// WorkerID names this replica in lease tables (default "host:pid").
 	WorkerID string
-	// JobWorkers sizes the local evaluation loop of distributed jobs:
+	// JobWorkers sizes the local evaluation loop of every job:
 	// 0 = parallel.DefaultWorkers, -1 = no local evaluation (a pure
-	// coordinator that only merges remote uploads). Ignored for
-	// non-distributed jobs, which always use the worker pool default.
+	// coordinator that only merges remote uploads, so it needs
+	// DistributeJobs).
 	JobWorkers int
 }
 

@@ -1,15 +1,20 @@
 #!/bin/sh
-# bench_baseline.sh [out.json] — run the full benchmark harness
+# bench_baseline.sh OUT.json — run the full benchmark harness
 # (go test -bench=. -benchmem -count=1) and record the results as JSON:
-# metadata plus one entry per benchmark line. Diff future runs against
-# the committed BENCH_PR*.json with scripts/bench_compare.sh or
-# cmd/benchcmp to spot hot-path regressions.
+# metadata plus one entry per benchmark line. The output name is
+# required: name a new baseline BENCH_PR<n>.json with n above every
+# recorded one, since the readers (scripts/check.sh, bench_compare.sh,
+# make bench-compare) compare against the highest n. Diff future runs
+# against it with scripts/bench_compare.sh or cmd/benchcmp to spot
+# hot-path regressions.
 #
 # The metadata records the *actual* run environment — ncpu, GOMAXPROCS,
 # the parallel engine's worker count and its chunk/tuner configuration —
 # because a baseline is only comparable to runs from a similar machine:
 #
-#   - bytes/op is deterministic and compares across any pair of hosts;
+#   - bytes/op depends on the code, not the host, so it compares across
+#     any pair of hosts (though not exactly run to run for every
+#     benchmark: BenchmarkRegularity's moves with -benchtime);
 #   - ns/op and the custom throughput metrics (evals/sec, sims/sec from
 #     b.ReportMetric) only mean something between multi-core hosts, so
 #     cmd/benchcmp gates them only when both sides report ncpu > 1;
@@ -24,7 +29,11 @@
 # a "metrics" object with any custom b.ReportMetric units on the line.
 set -eu
 cd "$(dirname "$0")/.."
-out="${1:-BENCH_PR1.json}"
+if [ $# -ne 1 ]; then
+  echo "usage: scripts/bench_baseline.sh OUT.json (a new BENCH_PR<n>.json; readers use the highest n)" >&2
+  exit 2
+fi
+out=$1
 
 ncpu="$(nproc 2>/dev/null || sysctl -n hw.ncpu 2>/dev/null || echo 1)"
 gomaxprocs="${GOMAXPROCS:-$ncpu}"

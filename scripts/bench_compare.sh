@@ -2,14 +2,16 @@
 # bench_compare.sh [base.json] — run the full benchmark harness and gate
 # it against a recorded baseline with cmd/benchcmp: any pinned hot-path
 # benchmark whose bytes/op regresses >20% (beyond a small absolute slack)
-# fails the script. This is the repo's benchstat-equivalent regression
-# gate; `make bench-compare BASE=BENCH_PR2.json` runs the same thing.
+# fails the script. The baseline defaults to the highest-numbered
+# BENCH_PR<n>.json (scripts/bench_latest.sh). This is the repo's
+# benchstat-equivalent regression gate; `make bench-compare` runs the
+# same thing.
 set -eu
 cd "$(dirname "$0")/.."
-base="${1:-BENCH_PR2.json}"
+base="${1:-$(./scripts/bench_latest.sh)}"
 
-if [ ! -f "$base" ]; then
-  echo "bench_compare: baseline $base not found (record one with scripts/bench_baseline.sh $base)" >&2
+if [ -z "$base" ] || [ ! -f "$base" ]; then
+  echo "bench_compare: baseline '$base' not found (record one with scripts/bench_baseline.sh BENCH_PR<n>.json)" >&2
   exit 2
 fi
 

@@ -28,17 +28,14 @@ echo "== bench smoke (1 iteration each) ==" >&2
 go test -run xxx -bench=. -benchtime=1x .
 
 # Regression gate: compare the smoke run against the most recent recorded
-# baseline with cmd/benchcmp (the repo's benchstat stand-in). bytes/op is
-# gated unconditionally (allocation counts are deterministic); ns/op and
-# the custom throughput metrics (evals/sec, sims/sec) are gated by
-# benchcmp only when both the baseline and this host are multi-core —
-# wall-clock from a 1x smoke run on a single-core box is noise, and
-# benchcmp knows to skip it. For the full-fidelity version run
-# `make bench-compare BASE=BENCH_PR6.json`.
-base=""
-for candidate in BENCH_PR6.json BENCH_PR2.json; do
-  if [ -f "$candidate" ]; then base="$candidate"; break; fi
-done
+# baseline (the highest-numbered BENCH_PR<n>.json, scripts/bench_latest.sh)
+# with cmd/benchcmp (the repo's benchstat stand-in). bytes/op is gated
+# unconditionally; ns/op and the custom throughput metrics (evals/sec,
+# sims/sec) are gated by benchcmp only when both the baseline and this
+# host are multi-core — wall-clock from a 1x smoke run on a single-core
+# box is noise, and benchcmp knows to skip it. For the full-fidelity
+# version run `make bench-compare`.
+base="$(./scripts/bench_latest.sh)"
 if [ -n "$base" ]; then
   echo "== benchmark gate (bytes/op always; ns/op + metrics on multi-core) vs $base ==" >&2
   go test -run xxx -bench=. -benchtime=1x -benchmem . | go run ./cmd/benchcmp -base "$base"
