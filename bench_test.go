@@ -1,6 +1,7 @@
 package repro_test
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"log/slog"
@@ -14,7 +15,6 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/layout"
 	"repro/internal/mcjob"
-	"repro/internal/memo"
 	"repro/internal/parallel"
 	"repro/internal/regularity"
 	"repro/internal/serve"
@@ -428,75 +428,6 @@ func BenchmarkCriticalArea(b *testing.B) {
 	}
 }
 
-func BenchmarkUnionArea(b *testing.B) {
-	l, err := layout.GenerateRandomLogic(layout.RandomLogicConfig{
-		Cells: 200, RowUtil: 0.7, RouteTracks: 4, Seed: 3,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	if layout.UnionArea(l.Rects) <= 0 { // warm the scratch pool
-		b.Fatal("empty union")
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if layout.UnionArea(l.Rects) <= 0 {
-			b.Fatal("empty union")
-		}
-	}
-}
-
-// benchCurveSizes is the defect-size grid shared by the cached
-// critical-area benchmarks: cold measures one full extraction + curve
-// evaluation per iteration (the memo fill path), warm measures the steady
-// state the layout-vs-yield studies live in (pure cache hits).
-func benchCurveSizes() []float64 {
-	sizes := make([]float64, 64)
-	for i := range sizes {
-		sizes[i] = 0.5 + float64(i)*0.5
-	}
-	return sizes
-}
-
-func BenchmarkCriticalAreaCachedCold(b *testing.B) {
-	l, err := layout.GenerateRandomLogic(layout.RandomLogicConfig{
-		Cells: 200, RowUtil: 0.7, RouteTracks: 4, Seed: 3,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	sizes := benchCurveSizes()
-	if _, err := layout.CriticalAreaCurveCached(l, layout.Metal1, sizes); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		memo.PurgeAll()
-		if _, err := layout.CriticalAreaCurveCached(l, layout.Metal1, sizes); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkCriticalAreaCachedWarm(b *testing.B) {
-	l, err := layout.GenerateRandomLogic(layout.RandomLogicConfig{
-		Cells: 200, RowUtil: 0.7, RouteTracks: 4, Seed: 3,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	sizes := benchCurveSizes()
-	if _, err := layout.CriticalAreaCurveCached(l, layout.Metal1, sizes); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := layout.CriticalAreaCurveCached(l, layout.Metal1, sizes); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // Serial-vs-parallel pairs for the hot paths wired into the
 // internal/parallel engine. Each parallel variant first asserts
 // bit-identical output against the serial baseline (determinism is
@@ -592,7 +523,7 @@ func benchSweep(b *testing.B, workers int) {
 	defer parallel.SetDefaultWorkers(0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		pts, err := core.SweepSd(s, 110, 2000, 2000)
+		pts, err := core.SweepSdCtx(context.Background(), s, 110, 2000, 2000)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -87,9 +87,6 @@ var defaultPinned = []string{
 	"BenchmarkRegularity",
 	"BenchmarkRegularityScan",
 	"BenchmarkCriticalArea",
-	"BenchmarkCriticalAreaCachedCold",
-	"BenchmarkCriticalAreaCachedWarm",
-	"BenchmarkUnionArea",
 	"BenchmarkWaferMap",
 	"BenchmarkMonteCarloYield",
 	"BenchmarkEvalBatch1024",

@@ -14,7 +14,7 @@ const baseJSON = `{
   "parallel_pairs_note": "recorded on 1 CPU",
   "benchmarks": [
     {"name": "BenchmarkLayoutYield-1", "iterations": 1, "ns_per_op": 2.0e9, "bytes_per_op": 1000000, "allocs_per_op": 100},
-    {"name": "BenchmarkUnionArea-1", "iterations": 10, "ns_per_op": 7.0e6, "bytes_per_op": 0, "allocs_per_op": 0},
+    {"name": "BenchmarkCriticalArea-1", "iterations": 10, "ns_per_op": 7.0e6, "bytes_per_op": 0, "allocs_per_op": 0},
     {"name": "BenchmarkTableA1-1", "iterations": 100, "ns_per_op": 1.0e6, "bytes_per_op": 50000, "allocs_per_op": 10}
   ]
 }`
@@ -65,7 +65,7 @@ func TestParseBenchText(t *testing.T) {
 	text := `goos: linux
 goarch: amd64
 BenchmarkLayoutYield-1   	       2	 600000000 ns/op	 1500000 B/op	    5000 allocs/op
-BenchmarkUnionArea-1     	     100	   7000000 ns/op	       0 B/op	       0 allocs/op
+BenchmarkCriticalArea-1     	     100	   7000000 ns/op	       0 B/op	       0 allocs/op
 PASS
 ok  	repro	3.2s`
 	res, err := parseBenchText([]byte(text))
@@ -79,8 +79,8 @@ ok  	repro	3.2s`
 	if ly.bytesPerOp != 1500000 || ly.nsPerOp != 600000000 {
 		t.Fatalf("LayoutYield parsed as %+v", ly)
 	}
-	if res["BenchmarkUnionArea"].bytesPerOp != 0 {
-		t.Fatalf("UnionArea bytes/op = %v, want 0", res["BenchmarkUnionArea"].bytesPerOp)
+	if res["BenchmarkCriticalArea"].bytesPerOp != 0 {
+		t.Fatalf("CriticalArea bytes/op = %v, want 0", res["BenchmarkCriticalArea"].bytesPerOp)
 	}
 }
 
@@ -139,7 +139,7 @@ func TestRunPassesOnImprovementAndUnpinnedRegression(t *testing.T) {
 	// LayoutYield improves 10x; TableA1 (unpinned) doubles — must pass.
 	newRun := writeTemp(t, "new.txt", strings.Join([]string{
 		"BenchmarkLayoutYield-1 2 500000000 ns/op 100000 B/op 500 allocs/op",
-		"BenchmarkUnionArea-1 100 7000000 ns/op 0 B/op 0 allocs/op",
+		"BenchmarkCriticalArea-1 100 7000000 ns/op 0 B/op 0 allocs/op",
 		"BenchmarkTableA1-1 100 1000000 ns/op 100000 B/op 20 allocs/op",
 	}, "\n"))
 	if err := run(base, newRun, defaultGates(), defaultPinned); err != nil {
@@ -162,11 +162,11 @@ func TestRunFailsOnPinnedRegression(t *testing.T) {
 
 func TestRunSlackAbsorbsTinyAbsoluteRegressions(t *testing.T) {
 	base := writeTemp(t, "base.json", baseJSON)
-	// UnionArea goes 0 -> 128 B/op: huge relative delta, tiny absolute —
+	// CriticalArea goes 0 -> 128 B/op: huge relative delta, tiny absolute —
 	// the slack must absorb it.
 	newRun := writeTemp(t, "new.txt", strings.Join([]string{
 		"BenchmarkLayoutYield-1 2 500000000 ns/op 1000000 B/op 500 allocs/op",
-		"BenchmarkUnionArea-1 100 7000000 ns/op 128 B/op 1 allocs/op",
+		"BenchmarkCriticalArea-1 100 7000000 ns/op 128 B/op 1 allocs/op",
 	}, "\n"))
 	if err := run(base, newRun, defaultGates(), defaultPinned); err != nil {
 		t.Fatalf("slack did not absorb 128 B regression: %v", err)

@@ -13,6 +13,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"log/slog"
 	"os"
 	"strings"
@@ -40,8 +41,8 @@ func main() {
 	slog.SetDefault(o.Logger(os.Stderr))
 
 	if *list {
-		for _, a := range experiments.Manifest() {
-			fmt.Printf("%-8s %s\n", a.ID, a.Title)
+		for _, a := range artifacts(context.Background()) {
+			fmt.Printf("%-8s %s\n", a.id, a.title)
 		}
 		return
 	}
@@ -50,7 +51,7 @@ func main() {
 		os.Exit(1)
 	}
 	ctx := o.StartRoot(context.Background(), "figures.run")
-	err := run(ctx, *only, *csv)
+	err := run(ctx, os.Stdout, *only, *csv)
 	o.Finish(os.Stderr)
 	if perr := prof.Stop(); perr != nil && err == nil {
 		err = perr
@@ -61,42 +62,47 @@ func main() {
 	}
 }
 
+// artifact is one regenerable table, figure or study: its id, the title
+// -list prints, and how to render it with its canonical parameters.
 type artifact struct {
-	id  string
-	run func(csv bool) error
+	id, title string
+	run       func(w io.Writer, csv bool) error
 }
 
-func run(ctx context.Context, only string, csv bool) error {
-	arts := []artifact{
-		{"tablea1", func(csv bool) error {
+// artifacts returns every artifact of the reproduction, the paper's table
+// and figures followed by the extension studies; ctx carries the trace
+// the Figure 4 sweeps nest under.
+func artifacts(ctx context.Context) []artifact {
+	return []artifact{
+		{"tablea1", "Table A1 — 49 industrial designs", func(w io.Writer, csv bool) error {
 			_, tbl, err := experiments.TableA1()
-			return emitTable(tbl, csv, err)
+			return emitTable(w, tbl, csv, err)
 		}},
-		{"fig1", func(csv bool) error {
+		{"fig1", "Figure 1 — industrial s_d trend", func(w io.Writer, csv bool) error {
 			res, fig, err := experiments.Figure1()
 			if err != nil {
 				return err
 			}
-			if err := emitFigure(fig, csv); err != nil {
+			if err := emitFigure(w, fig, csv); err != nil {
 				return err
 			}
 			if !csv {
-				fmt.Printf("industry s_d trend: %+.2f squares/year (R²=%.2f)\n", res.IndustryTrend.Slope, res.IndustryTrend.R2)
-				fmt.Printf("Intel trend: %+.2f /yr; AMD pre-K7 mean %.0f vs Intel %.0f; K7 s_d %.0f\n\n",
+				fmt.Fprintf(w, "industry s_d trend: %+.2f squares/year (R²=%.2f)\n", res.IndustryTrend.Slope, res.IndustryTrend.R2)
+				fmt.Fprintf(w, "Intel trend: %+.2f /yr; AMD pre-K7 mean %.0f vs Intel %.0f; K7 s_d %.0f\n\n",
 					res.IntelTrend.Slope, res.AMDMeanPreK7, res.IntelMeanPre, res.K7Sd)
 			}
 			return nil
 		}},
-		{"fig2", func(csv bool) error {
+		{"fig2", "Figure 2 — ITRS-implied s_d", func(w io.Writer, csv bool) error {
 			_, fig, err := experiments.Figure2()
-			return emitFigure(fig, csv, err)
+			return emitFigure(w, fig, csv, err)
 		}},
-		{"fig3", func(csv bool) error {
+		{"fig3", "Figure 3 — required s_d for a $34 die", func(w io.Writer, csv bool) error {
 			rows, fig, err := experiments.Figure3()
 			if err != nil {
 				return err
 			}
-			if err := emitFigure(fig, csv); err != nil {
+			if err := emitFigure(w, fig, csv); err != nil {
 				return err
 			}
 			if !csv {
@@ -104,155 +110,160 @@ func run(ctx context.Context, only string, csv bool) error {
 				for _, r := range rows {
 					tbl.AddRow(r.Year, r.LambdaUM, r.ImpliedSd, r.RequiredSd, r.Ratio, r.DieCost)
 				}
-				fmt.Println(tbl.String())
+				fmt.Fprintln(w, tbl.String())
 			}
 			return nil
 		}},
-		{"fig4", func(csv bool) error {
+		{"fig4", "Figure 4 — C_tr(s_d), both panels", func(w io.Writer, csv bool) error {
 			for _, c := range experiments.Figure4Cases() {
 				_, fig, err := experiments.Figure4Ctx(ctx, c, 48)
 				if err != nil {
 					return err
 				}
-				if err := emitFigure(fig, csv); err != nil {
+				if err := emitFigure(w, fig, csv); err != nil {
 					return err
 				}
 			}
 			return nil
 		}},
-		{"x1", func(csv bool) error {
+		{"x1", "optimal s_d vs volume", func(w io.Writer, csv bool) error {
 			_, fig, err := experiments.OptimalSdVsVolume(500, 1e6, 16)
-			return emitFigure(fig, csv, err)
+			return emitFigure(w, fig, csv, err)
 		}},
-		{"x2", func(csv bool) error {
+		{"x2", "yield models vs Monte Carlo", func(w io.Writer, csv bool) error {
 			_, fig, err := experiments.YieldModelComparison(
 				[]float64{0.1, 0.2, 0.4, 0.8, 1.2, 1.6, 2.4},
 				1.0,
 				yield.SimConfig{DiePerWafer: 400, Wafers: 200, Seed: 7})
-			return emitFigure(fig, csv, err)
+			return emitFigure(w, fig, csv, err)
 		}},
-		{"x3", func(csv bool) error {
+		{"x3", "FPGA utilization crossover", func(w io.Writer, csv bool) error {
 			res, fig, err := experiments.UtilizationCrossover(0.4, 10, 1e6, 32)
 			if err != nil {
 				return err
 			}
-			if err := emitFigure(fig, csv); err != nil {
+			if err := emitFigure(w, fig, csv); err != nil {
 				return err
 			}
 			if !csv {
-				fmt.Printf("crossover volume: %.0f wafers at u=%.2f\n\n", res.Crossover, res.U)
+				fmt.Fprintf(w, "crossover volume: %.0f wafers at u=%.2f\n\n", res.Crossover, res.U)
 			}
 			return nil
 		}},
-		{"x4", func(csv bool) error {
+		{"x4", "regularity → design cost", func(w io.Writer, csv bool) error {
 			_, tbl, err := experiments.RegularityStudy(42)
-			return emitTable(tbl, csv, err)
+			return emitTable(w, tbl, csv, err)
 		}},
-		{"x5", func(csv bool) error {
+		{"x5", "gross die: exact vs approximations", func(w io.Writer, csv bool) error {
 			_, tbl, err := experiments.GrossDieStudy([]float64{0.25, 0.5, 1, 2, 4})
-			return emitTable(tbl, csv, err)
+			return emitTable(w, tbl, csv, err)
 		}},
-		{"x6", func(csv bool) error {
+		{"x6", "wafer cost learning", func(w io.Writer, csv bool) error {
 			_, fig, err := experiments.WaferCostStudy(0.18,
 				[]float64{0, 3, 6, 12, 24, 48},
 				[]float64{1000, 10000, 100000})
-			return emitFigure(fig, csv, err)
+			return emitFigure(w, fig, csv, err)
 		}},
-		{"x7", func(csv bool) error {
+		{"x7", "mask amortization", func(w io.Writer, csv bool) error {
 			_, fig, err := experiments.MaskAmortization([]float64{0.25, 0.18, 0.13, 0.1}, 100, 1e6, 16)
-			return emitFigure(fig, csv, err)
+			return emitFigure(w, fig, csv, err)
 		}},
-		{"x8", func(csv bool) error {
+		{"x8", "layout style densities", func(w io.Writer, csv bool) error {
 			_, tbl, err := experiments.LayoutDensityStudy(42)
-			return emitTable(tbl, csv, err)
+			return emitTable(w, tbl, csv, err)
 		}},
-		{"x9", func(csv bool) error {
+		{"x9", "Figure 3 stress", func(w io.Writer, csv bool) error {
 			_, fig, err := experiments.Figure3Stress(0.15, 0.05)
-			return emitFigure(fig, csv, err)
+			return emitFigure(w, fig, csv, err)
 		}},
-		{"x10", func(csv bool) error {
+		{"x10", "layout critical-area yield", func(w io.Writer, csv bool) error {
 			_, tbl, err := experiments.LayoutYieldStudy(3.0, 4000, 7)
-			return emitTable(tbl, csv, err)
+			return emitTable(w, tbl, csv, err)
 		}},
-		{"x11", func(csv bool) error {
+		{"x11", "cost of test", func(w io.Writer, csv bool) error {
 			_, tbl, err := experiments.TestCostStudy(
 				[]float64{1e6, 10e6, 100e6},
 				[]float64{0.4, 0.8})
-			return emitTable(tbl, csv, err)
+			return emitTable(w, tbl, csv, err)
 		}},
-		{"x12", func(csv bool) error {
+		{"x12", "multi-project wafers", func(w io.Writer, csv bool) error {
 			_, tbl, err := experiments.MPWStudy([]float64{0.25, 0.18, 0.13, 0.1}, 10)
-			return emitTable(tbl, csv, err)
+			return emitTable(w, tbl, csv, err)
 		}},
-		{"x13", func(csv bool) error {
+		{"x13", "routability decompression", func(w io.Writer, csv bool) error {
 			_, tbl, err := experiments.RoutabilityStudy([]float64{1.5, 2, 2.5, 3, 4}, 196, 4, 60, 11)
-			return emitTable(tbl, csv, err)
+			return emitTable(w, tbl, csv, err)
 		}},
-		{"x14", func(csv bool) error {
+		{"x14", "Table A1 priced", func(w io.Writer, csv bool) error {
 			res, tbl, err := experiments.DeviceCostStudy()
 			if err != nil {
 				return err
 			}
-			if err := emitTable(tbl, csv); err != nil {
+			if err := emitTable(w, tbl, csv); err != nil {
 				return err
 			}
 			if !csv {
-				fmt.Printf("same-node (0.25 µm) Pentium II / K6 transistor-cost ratio: %.2f\n\n", res.K6OverPentium)
+				fmt.Fprintf(w, "same-node (0.25 µm) Pentium II / K6 transistor-cost ratio: %.2f\n\n", res.K6OverPentium)
 			}
 			return nil
 		}},
-		{"x15", func(csv bool) error {
+		{"x15", "cost uncertainty", func(w io.Writer, csv bool) error {
 			_, tbl, err := experiments.UncertaintyStudy(20000, 17)
-			return emitTable(tbl, csv, err)
+			return emitTable(w, tbl, csv, err)
 		}},
-		{"x16", func(csv bool) error {
+		{"x16", "spatial wafer map", func(w io.Writer, csv bool) error {
 			res, tbl, err := experiments.WaferMapStudy(4, 300, 3)
 			if err != nil {
 				return err
 			}
-			if err := emitTable(tbl, csv); err != nil {
+			if err := emitTable(w, tbl, csv); err != nil {
 				return err
 			}
 			if !csv {
-				fmt.Println(res.Rendered)
+				fmt.Fprintln(w, res.Rendered)
 			}
 			return nil
 		}},
-		{"x17", func(csv bool) error {
+		{"x17", "time-to-market vs density", func(w io.Writer, csv bool) error {
 			_, tbl, err := experiments.TTMStudy([]float64{36, 18, 12, 6})
-			return emitTable(tbl, csv, err)
+			return emitTable(w, tbl, csv, err)
 		}},
-		{"x18", func(csv bool) error {
+		{"x18", "MPU vs DRAM implied s_d", func(w io.Writer, csv bool) error {
 			_, fig, err := experiments.MPUvsDRAM()
-			return emitFigure(fig, csv, err)
+			return emitFigure(w, fig, csv, err)
 		}},
-		{"x19", func(csv bool) error {
+		{"x19", "synthetic SoC decomposition", func(w io.Writer, csv bool) error {
 			_, tbl, err := experiments.SoCStudy(300, 21)
-			return emitTable(tbl, csv, err)
+			return emitTable(w, tbl, csv, err)
 		}},
-		{"x20", func(csv bool) error {
+		{"x20", "redundancy repair economics", func(w io.Writer, csv bool) error {
 			_, tbl, err := experiments.RepairStudy([]float64{0.5, 1, 1.5, 2, 3}, 0.01)
-			return emitTable(tbl, csv, err)
+			return emitTable(w, tbl, csv, err)
 		}},
-		{"x21", func(csv bool) error {
+		{"x21", "family amortization", func(w io.Writer, csv bool) error {
 			_, fig, err := experiments.FamilyStudy(8)
-			return emitFigure(fig, csv, err)
+			return emitFigure(w, fig, csv, err)
 		}},
-		{"x22", func(csv bool) error {
+		{"x22", "optimal fault coverage", func(w io.Writer, csv bool) error {
 			_, tbl, err := experiments.TestEconomicsStudy([]float64{0.9, 0.7, 0.5, 0.3}, 50)
-			return emitTable(tbl, csv, err)
+			return emitTable(w, tbl, csv, err)
 		}},
 	}
+}
+
+// run writes the artifact named only (every artifact when only is empty)
+// to w, as rendered text or as CSV.
+func run(ctx context.Context, w io.Writer, only string, csv bool) error {
 	matched := false
-	for _, a := range arts {
+	for _, a := range artifacts(ctx) {
 		if only != "" && !strings.EqualFold(only, a.id) {
 			continue
 		}
 		matched = true
 		if !csv {
-			fmt.Printf("=== %s ===\n", a.id)
+			fmt.Fprintf(w, "=== %s ===\n", a.id)
 		}
-		if err := a.run(csv); err != nil {
+		if err := a.run(w, csv); err != nil {
 			return fmt.Errorf("%s: %w", a.id, err)
 		}
 	}
@@ -262,33 +273,33 @@ func run(ctx context.Context, only string, csv bool) error {
 	return nil
 }
 
-func emitTable(tbl *report.Table, csv bool, errs ...error) error {
+func emitTable(w io.Writer, tbl *report.Table, csv bool, errs ...error) error {
 	for _, err := range errs {
 		if err != nil {
 			return err
 		}
 	}
 	if csv {
-		fmt.Print(tbl.CSV())
+		fmt.Fprint(w, tbl.CSV())
 		return nil
 	}
-	fmt.Println(tbl.String())
+	fmt.Fprintln(w, tbl.String())
 	return nil
 }
 
-func emitFigure(fig *report.Figure, csv bool, errs ...error) error {
+func emitFigure(w io.Writer, fig *report.Figure, csv bool, errs ...error) error {
 	for _, err := range errs {
 		if err != nil {
 			return err
 		}
 	}
 	if csv {
-		fmt.Print(fig.Table().CSV())
+		fmt.Fprint(w, fig.Table().CSV())
 		return nil
 	}
-	if err := fig.Render(os.Stdout); err != nil {
+	if err := fig.Render(w); err != nil {
 		return err
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 	return nil
 }

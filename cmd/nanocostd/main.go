@@ -28,10 +28,8 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
-	"io/fs"
 	"log/slog"
 	"net"
 	"net/http"
@@ -43,7 +41,6 @@ import (
 	"time"
 
 	"repro/internal/cliutil"
-	"repro/internal/memo"
 	"repro/internal/obs"
 	"repro/internal/parallel"
 	"repro/internal/profiling"
@@ -61,7 +58,6 @@ func main() {
 		workers   = flag.Int("workers", 0, "worker goroutines for sweeps (0 = all cores); results are identical for any value")
 		jobDir    = flag.String("job-dir", "", "directory for simulation-job checkpoints (empty = checkpointing disabled)")
 		maxJobs   = flag.Int("max-jobs", 0, "concurrent simulation jobs before 429 (0 = 2)")
-		memoSnap  = flag.String("memo-snapshot", "", "file for memo-cache snapshots: loaded at start, written after a clean drain (empty = disabled)")
 		peers     = flag.String("peers", "", "comma-separated peer replicas (host:port) whose distributed jobs this daemon pulls shards from; implies -distribute")
 		distrib   = flag.Bool("distribute", false, "open jobs to peer replicas, which pull their shards over HTTP (implied by -peers)")
 		leaseTTL  = flag.Duration("lease-ttl", 10*time.Second, "distributed shard-lease lifetime; a dead worker's shards re-run one TTL after its last renewal")
@@ -96,7 +92,7 @@ func main() {
 		LeaseTTL:        *leaseTTL,
 		WorkerID:        *workerID,
 		JobWorkers:      *jobWrk,
-	}, *debugAddr, *memoSnap, logger)
+	}, *debugAddr, logger)
 	o.Finish(os.Stderr)
 	if perr := prof.Stop(); perr != nil && err == nil {
 		err = perr
@@ -121,10 +117,8 @@ func splitPeers(s string) []string {
 
 // run serves until SIGINT/SIGTERM (or ctx cancellation), then lets the
 // server drain. A non-empty debugAddr additionally serves pprof on its
-// own listener for the daemon's lifetime. A non-empty memoSnap warms the
-// memo caches from disk before serving and snapshots them back after a
-// clean drain, so a rolling restart of a replica keeps its cache shard.
-func run(ctx context.Context, cfg serve.Config, debugAddr, memoSnap string, logger *slog.Logger) error {
+// own listener for the daemon's lifetime.
+func run(ctx context.Context, cfg serve.Config, debugAddr string, logger *slog.Logger) error {
 	cfg.Logger = logger
 	switch {
 	case cfg.JobWorkers < -1:
@@ -144,31 +138,7 @@ func run(ctx context.Context, cfg serve.Config, debugAddr, memoSnap string, logg
 		defer ln.Close()
 	}
 
-	if memoSnap != "" {
-		switch st, err := memo.LoadSnapshot(memoSnap); {
-		case err == nil:
-			logger.Info("memo snapshot loaded", "path", memoSnap,
-				"caches", st.Caches, "entries", st.Entries, "skipped", st.Skipped)
-		case errors.Is(err, fs.ErrNotExist):
-			logger.Info("memo snapshot absent, starting cold", "path", memoSnap)
-		default:
-			// A rotten snapshot must not stop the daemon: serving cold is
-			// strictly better than not serving.
-			logger.Warn("memo snapshot load failed, starting cold", "path", memoSnap, "error", err)
-		}
-	}
-
-	srv := serve.NewServer(cfg)
-	err := srv.ListenAndServe(ctx)
-	if memoSnap != "" && err == nil {
-		if st, serr := memo.SaveSnapshot(memoSnap); serr != nil {
-			logger.Warn("memo snapshot save failed", "path", memoSnap, "error", serr)
-		} else {
-			logger.Info("memo snapshot saved", "path", memoSnap,
-				"caches", st.Caches, "entries", st.Entries)
-		}
-	}
-	return err
+	return serve.NewServer(cfg).ListenAndServe(ctx)
 }
 
 // startDebugListener binds addr and serves the net/http/pprof handlers on

@@ -9,8 +9,6 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"regexp"
 	"strings"
 	"sync"
@@ -62,7 +60,7 @@ func startRun(t *testing.T, ctx context.Context, cfg serve.Config) (string, <-ch
 	logs := &syncBuffer{}
 	logger := slog.New(slog.NewTextHandler(logs, nil))
 	done := make(chan error, 1)
-	go func() { done <- run(ctx, cfg, "", "", logger) }()
+	go func() { done <- run(ctx, cfg, "", logger) }()
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
 		if m := listenAddrRE.FindStringSubmatch(logs.String()); m != nil {
@@ -237,39 +235,11 @@ func TestRunServesAndDrainsOnSIGTERM(t *testing.T) {
 	}
 }
 
-// TestRunWritesMemoSnapshotOnCleanDrain: with -memo-snapshot set, a
-// clean shutdown must leave a loadable snapshot file behind, and a
-// subsequent start must read it without complaint.
-func TestRunWritesMemoSnapshotOnCleanDrain(t *testing.T) {
-	logger := slog.New(slog.NewTextHandler(io.Discard, nil))
-	snap := filepath.Join(t.TempDir(), "memo.snapshot")
-	for i := 0; i < 2; i++ { // second pass exercises the load path
-		ctx, cancel := context.WithCancel(context.Background())
-		done := make(chan error, 1)
-		go func() {
-			done <- run(ctx, testConfig("127.0.0.1:0"), "", snap, logger)
-		}()
-		time.Sleep(100 * time.Millisecond)
-		cancel()
-		select {
-		case err := <-done:
-			if err != nil {
-				t.Fatalf("pass %d: run returned %v", i, err)
-			}
-		case <-time.After(10 * time.Second):
-			t.Fatalf("pass %d: run did not exit", i)
-		}
-		if _, err := os.Stat(snap); err != nil {
-			t.Fatalf("pass %d: no snapshot after clean drain: %v", i, err)
-		}
-	}
-}
-
 // TestRunRejectsBadAddr: an unbindable address is a startup error, not a
 // hang.
 func TestRunRejectsBadAddr(t *testing.T) {
 	logger := slog.New(slog.NewTextHandler(io.Discard, nil))
-	if err := run(context.Background(), testConfig("256.0.0.1:99999"), "", "", logger); err == nil {
+	if err := run(context.Background(), testConfig("256.0.0.1:99999"), "", logger); err == nil {
 		t.Fatal("accepted an unbindable address")
 	}
 }
@@ -293,7 +263,7 @@ func TestRunRejectsBadJobWorkers(t *testing.T) {
 		cfg := testConfig("127.0.0.1:0")
 		cfg.JobWorkers = tc.workers
 		cfg.DistributeJobs = tc.distribute
-		if err := run(ctx, cfg, "", "", logger); err == nil {
+		if err := run(ctx, cfg, "", logger); err == nil {
 			t.Fatalf("%s: accepted -job-workers %d", tc.name, tc.workers)
 		}
 	}
@@ -303,7 +273,7 @@ func TestRunRejectsBadJobWorkers(t *testing.T) {
 // same way the main address does — never a silently missing profiler.
 func TestRunRejectsBadDebugAddr(t *testing.T) {
 	logger := slog.New(slog.NewTextHandler(io.Discard, nil))
-	if err := run(context.Background(), testConfig("127.0.0.1:0"), "256.0.0.1:99999", "", logger); err == nil {
+	if err := run(context.Background(), testConfig("127.0.0.1:0"), "256.0.0.1:99999", logger); err == nil {
 		t.Fatal("accepted an unbindable debug address")
 	}
 }

@@ -7,11 +7,10 @@
 //
 // Router endpoints: /healthz (liveness), /readyz (ready while at least
 // one replica is unbenched), /frontz (topology and bench state),
-// /metrics (scrape), /fleetz (every replica's metrics merged under a
-// replica label plus fleet rollups), and /debug/trace/{id} (federated
-// span tree joining the router's spans with every replica's under one
-// trace id). Everything else is proxied with X-Request-Id, X-Trace-Id
-// and X-Parent-Span-Id forwarded on each hop.
+// /metrics (scrape), and /debug/trace/{id} (federated span tree joining
+// the router's spans with every replica's under one trace id).
+// Everything else is proxied with X-Request-Id, X-Trace-Id and
+// X-Parent-Span-Id forwarded on each hop.
 //
 // Example:
 //

@@ -1,0 +1,86 @@
+package repro_test
+
+import (
+	"bytes"
+	"encoding/json"
+	"flag"
+	"os"
+	"path/filepath"
+	"testing"
+
+	"repro/internal/experiments"
+)
+
+var update = flag.Bool("update", false, "rewrite testdata/golden from the current code")
+
+// TestGolden pins the paper's published numbers: each result below is
+// encoded as JSON and compared byte for byte with testdata/golden/<id>.json.
+// encoding/json writes the shortest float that round-trips, so a change of
+// even one ulp fails. `go test -run Golden -update .` regenerates the files;
+// the diff then shows exactly which numbers moved.
+func TestGolden(t *testing.T) {
+	cases := []struct {
+		id  string
+		get func() (any, error)
+	}{
+		{"tablea1", func() (any, error) {
+			rows, _, err := experiments.TableA1()
+			return rows, err
+		}},
+		{"fig1", func() (any, error) {
+			res, _, err := experiments.Figure1()
+			return res, err
+		}},
+		{"fig2", func() (any, error) {
+			rows, _, err := experiments.Figure2()
+			return rows, err
+		}},
+		{"fig3", func() (any, error) {
+			rows, _, err := experiments.Figure3()
+			return rows, err
+		}},
+		{"fig4a", func() (any, error) { return figure4Golden(0) }},
+		{"fig4b", func() (any, error) { return figure4Golden(1) }},
+		{"x18", func() (any, error) {
+			rows, _, err := experiments.MPUvsDRAM()
+			return rows, err
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.id, func(t *testing.T) {
+			v, err := c.get()
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := json.MarshalIndent(v, "", "  ")
+			if err != nil {
+				t.Fatal(err)
+			}
+			got = append(got, '\n')
+			path := filepath.Join("testdata", "golden", c.id+".json")
+			if *update {
+				if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(path, got, 0o644); err != nil {
+					t.Fatal(err)
+				}
+				return
+			}
+			want, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatalf("%v (run `go test -run Golden -update .` to create it)", err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("%s differs from %s; rerun with -update and review the diff", c.id, path)
+			}
+		})
+	}
+}
+
+// figure4Golden computes one Figure 4 panel at 48 points, the resolution
+// the figures CLI and the HTTP API use by default.
+func figure4Golden(panel int) (any, error) {
+	curves, _, err := experiments.Figure4(experiments.Figure4Cases()[panel], 48)
+	return curves, err
+}

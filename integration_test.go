@@ -80,13 +80,13 @@ func TestFigure3RoundTripsThroughEq3(t *testing.T) {
 			Name: "rt", LambdaUM: r.LambdaUM,
 			CostPerCM2: itrs.CostPerCM2, Yield: itrs.Yield, WaferAreaCM2: 300,
 		}
-		die, err := core.DieManufacturingCost(p, core.Design{
+		ctr, err := core.ManufacturingCostPerTransistor(p, core.Design{
 			Name: "rt", Transistors: r.Transistors, Sd: r.RequiredSd,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if math.Abs(die-itrs.TargetDieCost) > 1e-6 {
+		if die := ctr * r.Transistors; math.Abs(die-itrs.TargetDieCost) > 1e-6 {
 			t.Fatalf("%d: required s_d reproduces $%v, want $%v", r.Year, die, itrs.TargetDieCost)
 		}
 	}
@@ -101,7 +101,7 @@ func TestEq1AndEq3AgreeOnTableA1Device(t *testing.T) {
 		t.Fatal(err)
 	}
 	area := d.DieAreaCM2()
-	chips, err := wafer.DiePerWafer(wafer.Wafer200, area)
+	chips, err := wafer.GrossDie(wafer.Wafer200, wafer.SquareDie(area))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,11 +109,9 @@ func TestEq1AndEq3AgreeOnTableA1Device(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	waferCost := csq * wafer.Wafer200.AreaCM2()
-	eq1, err := core.CostPerTransistorFromWafer(waferCost, d.TotalTransistors(), chips, 0.8)
-	if err != nil {
-		t.Fatal(err)
-	}
+	waferCost := csq * math.Pi * 10 * 10 // the whole 200 mm wafer, in cm²
+	// eq (1): C_tr = C_w/(N_tr·N_ch·Y).
+	eq1 := waferCost / (d.TotalTransistors() * float64(chips) * 0.8)
 	sd, err := d.SdTotal()
 	if err != nil {
 		t.Fatal(err)

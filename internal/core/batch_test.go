@@ -96,7 +96,7 @@ func TestSweepStreamsMatchBufferedSweeps(t *testing.T) {
 	}
 	axes := map[string]sweepFns{
 		"sd": {
-			buffered: func() ([]SweepPoint, error) { return SweepSd(s, 200, 2000, n) },
+			buffered: func() ([]SweepPoint, error) { return SweepSdCtx(context.Background(), s, 200, 2000, n) },
 			streamed: func(chunk int, emit func([]SweepPoint) error) error {
 				return SweepSdStream(context.Background(), s, 200, 2000, n, chunk, emit)
 			},
@@ -108,7 +108,7 @@ func TestSweepStreamsMatchBufferedSweeps(t *testing.T) {
 			},
 		},
 		"yield": {
-			buffered: func() ([]SweepPoint, error) { return SweepYield(s, 0.1, 0.9, n) },
+			buffered: func() ([]SweepPoint, error) { return SweepYieldCtx(context.Background(), s, 0.1, 0.9, n) },
 			streamed: func(chunk int, emit func([]SweepPoint) error) error {
 				return SweepYieldStream(context.Background(), s, 0.1, 0.9, n, chunk, emit)
 			},

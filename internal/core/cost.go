@@ -74,41 +74,6 @@ func ManufacturingCostPerTransistor(p Process, d Design) (float64, error) {
 	return p.CostPerCM2 * LambdaSquaredCM2(p.LambdaUM) * d.Sd / p.Yield, nil
 }
 
-// CostPerTransistorFromWafer evaluates eq (1) directly:
-//
-//	C_tr = C_w / (N_tr · N_ch · Y)
-//
-// where waferCost is the fabrication cost of a wafer C_w, transistors is
-// N_tr per chip, chipsPerWafer is N_ch, and yield is Y. It exists so that
-// the wafer-geometry substrate (internal/wafer) and the fab-cost substrate
-// (internal/fab) can feed the cost model without going through the per-cm²
-// abstraction.
-func CostPerTransistorFromWafer(waferCost, transistors float64, chipsPerWafer int, yield float64) (float64, error) {
-	if !finitePos(waferCost) {
-		return 0, fmt.Errorf("core: wafer cost must be positive and finite, got %v", waferCost)
-	}
-	if !finitePos(transistors) {
-		return 0, fmt.Errorf("core: transistor count must be positive and finite, got %v", transistors)
-	}
-	if chipsPerWafer <= 0 {
-		return 0, fmt.Errorf("core: chips per wafer must be positive, got %d", chipsPerWafer)
-	}
-	if !validYield(yield) {
-		return 0, fmt.Errorf("core: yield must be in (0,1], got %v", yield)
-	}
-	return waferCost / (transistors * float64(chipsPerWafer) * yield), nil
-}
-
-// DieManufacturingCost returns the manufacturing cost of one functioning
-// die: C_ch = C_tr · N_tr with C_tr from eq (3).
-func DieManufacturingCost(p Process, d Design) (float64, error) {
-	ctr, err := ManufacturingCostPerTransistor(p, d)
-	if err != nil {
-		return 0, err
-	}
-	return ctr * d.Transistors, nil
-}
-
 // RequiredSdForDieCost inverts eq (3) at the die level: it returns the
 // s_d needed so that the manufacturing cost of a die with the given
 // transistor count equals targetDieCost on the given process. This is the

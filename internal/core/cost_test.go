@@ -21,44 +21,6 @@ func testDesign() Design {
 	return Design{Name: "mpu", Transistors: 10e6, Sd: 300}
 }
 
-func TestTransistorDensity(t *testing.T) {
-	// λ = 1 µm = 1e-4 cm, s_d = 100 → T_d = 1/(1e-8 · 100) = 1e6 per cm².
-	d, err := TransistorDensity(1.0, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almost(d, 1e6, 1e-6) {
-		t.Fatalf("density = %v, want 1e6", d)
-	}
-}
-
-func TestTransistorDensityErrors(t *testing.T) {
-	if _, err := TransistorDensity(0, 100); err == nil {
-		t.Fatal("accepted zero feature size")
-	}
-	if _, err := TransistorDensity(1, 0); err == nil {
-		t.Fatal("accepted zero s_d")
-	}
-}
-
-func TestSdFromDensityRoundTrip(t *testing.T) {
-	for _, sd := range []float64{30, 100, 300, 765} {
-		for _, lam := range []float64{0.1, 0.18, 0.35, 1.5} {
-			d, err := TransistorDensity(lam, sd)
-			if err != nil {
-				t.Fatal(err)
-			}
-			back, err := SdFromDensity(d, lam)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !almost(back, sd, 1e-9) {
-				t.Fatalf("round trip s_d %v → %v (λ=%v)", sd, back, lam)
-			}
-		}
-	}
-}
-
 func TestSdFromLayoutMatchesTableA1Row(t *testing.T) {
 	// Table A1 row 4: Pentium P54C, 1.48 cm², 0.6 µm, 3.1 M transistors,
 	// s_d = 132.6.
@@ -78,19 +40,6 @@ func TestDieAreaInvertsLayout(t *testing.T) {
 	}
 	if math.Abs(area-1.48) > 0.01 {
 		t.Fatalf("area = %v, want ≈1.48 cm²", area)
-	}
-}
-
-func TestDesignDensityInverse(t *testing.T) {
-	dd, err := DesignDensity(200)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almost(dd, 0.005, 1e-12) {
-		t.Fatalf("d_d = %v, want 0.005", dd)
-	}
-	if _, err := DesignDensity(0); err == nil {
-		t.Fatal("accepted zero s_d")
 	}
 }
 
@@ -140,47 +89,14 @@ func TestEq1MatchesEq3(t *testing.T) {
 	}
 	chips := int(p.WaferAreaCM2 / area)
 	waferCost := p.CostPerCM2 * float64(chips) * area // charge only the used area
-	eq1, err := CostPerTransistorFromWafer(waferCost, d.Transistors, chips, p.Yield)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// eq (1): C_tr = C_w/(N_tr·N_ch·Y).
+	eq1 := waferCost / (d.Transistors * float64(chips) * p.Yield)
 	eq3, err := ManufacturingCostPerTransistor(p, d)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !almost(eq1, eq3, 1e-9) {
 		t.Fatalf("eq (1) = %v, eq (3) = %v", eq1, eq3)
-	}
-}
-
-func TestCostPerTransistorFromWaferValidation(t *testing.T) {
-	if _, err := CostPerTransistorFromWafer(0, 1e6, 100, 0.8); err == nil {
-		t.Fatal("accepted zero wafer cost")
-	}
-	if _, err := CostPerTransistorFromWafer(1000, 0, 100, 0.8); err == nil {
-		t.Fatal("accepted zero transistors")
-	}
-	if _, err := CostPerTransistorFromWafer(1000, 1e6, 0, 0.8); err == nil {
-		t.Fatal("accepted zero chips")
-	}
-	if _, err := CostPerTransistorFromWafer(1000, 1e6, 100, 0); err == nil {
-		t.Fatal("accepted zero yield")
-	}
-}
-
-func TestDieManufacturingCost(t *testing.T) {
-	p := testProcess()
-	d := testDesign()
-	ctr, err := ManufacturingCostPerTransistor(p, d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	die, err := DieManufacturingCost(p, d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almost(die, ctr*d.Transistors, 1e-12) {
-		t.Fatalf("die cost = %v, want %v", die, ctr*d.Transistors)
 	}
 }
 
@@ -210,11 +126,11 @@ func TestRequiredSdConsistentWithDieCost(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	die, err := DieManufacturingCost(p, Design{Name: "x", Transistors: 24e6, Sd: sd})
+	ctr, err := ManufacturingCostPerTransistor(p, Design{Name: "x", Transistors: 24e6, Sd: sd})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !almost(die, 34, 1e-9) {
+	if die := ctr * 24e6; !almost(die, 34, 1e-9) {
 		t.Fatalf("die cost at required s_d = %v, want 34", die)
 	}
 }

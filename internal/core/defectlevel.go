@@ -26,27 +26,6 @@ func DefectLevel(yield, coverage float64) (float64, error) {
 	return 1 - math.Pow(yield, 1-coverage), nil
 }
 
-// CoverageForDPM inverts Williams–Brown: the fault coverage needed to
-// ship at most the target defects-per-million at the given yield.
-func CoverageForDPM(yield, targetDPM float64) (float64, error) {
-	if !(yield > 0 && yield < 1) {
-		return 0, fmt.Errorf("core: coverage: yield must be in (0,1), got %v", yield)
-	}
-	if targetDPM <= 0 || targetDPM >= 1e6 {
-		return 0, fmt.Errorf("core: coverage: target DPM must be in (0, 1e6), got %v", targetDPM)
-	}
-	dl := targetDPM / 1e6
-	// 1 − Y^{1−T} = dl ⇒ (1−T)·ln Y = ln(1−dl) ⇒ T = 1 − ln(1−dl)/ln Y.
-	t := 1 - math.Log(1-dl)/math.Log(yield)
-	if t < 0 {
-		t = 0 // even zero coverage already ships below the target
-	}
-	if t > 1 {
-		return 0, fmt.Errorf("core: coverage: target %v DPM unreachable at yield %v", targetDPM, yield)
-	}
-	return t, nil
-}
-
 // TestEconomics balances test cost against escape cost: raising fault
 // coverage costs tester time (test seconds grow superlinearly as coverage
 // approaches 1: seconds ∝ 1/(1−T)^CovExp − 1 scaled to BaseSeconds at

@@ -58,37 +58,6 @@ func TestDefectLevelMonotone(t *testing.T) {
 	}
 }
 
-func TestCoverageForDPM(t *testing.T) {
-	cov, err := CoverageForDPM(0.6, 500) // 500 DPM
-	if err != nil {
-		t.Fatal(err)
-	}
-	dl, err := DefectLevel(0.6, cov)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(dl*1e6-500) > 1e-6 {
-		t.Fatalf("round trip DPM = %v, want 500", dl*1e6)
-	}
-	// A very lax target needs no test at all.
-	cov, err = CoverageForDPM(0.999, 999000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cov != 0 {
-		t.Fatalf("lax target coverage = %v, want 0", cov)
-	}
-	if _, err := CoverageForDPM(0.6, 0); err == nil {
-		t.Fatal("accepted zero DPM")
-	}
-	if _, err := CoverageForDPM(0.6, 1e6); err == nil {
-		t.Fatal("accepted 1e6 DPM")
-	}
-	if _, err := CoverageForDPM(1, 100); err == nil {
-		t.Fatal("accepted yield of exactly 1")
-	}
-}
-
 func TestTestEconomicsCostShape(t *testing.T) {
 	e := DefaultTestEconomics()
 	// U-shaped: low coverage pays escapes, high coverage pays tester time.

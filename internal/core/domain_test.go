@@ -133,7 +133,7 @@ func TestSweepRejectsNonFiniteBounds(t *testing.T) {
 	nan, inf := math.NaN(), math.Inf(1)
 
 	for _, b := range [][2]float64{{nan, 2000}, {200, nan}, {200, inf}, {inf, 2000}, {2000, 200}} {
-		if _, err := SweepSd(s, b[0], b[1], 8); err == nil {
+		if _, err := SweepSdCtx(context.Background(), s, b[0], b[1], 8); err == nil {
 			t.Errorf("SweepSd accepted bounds [%v, %v]", b[0], b[1])
 		}
 		if _, err := SweepVolume(s, b[0], b[1], 8); err == nil {
@@ -141,7 +141,7 @@ func TestSweepRejectsNonFiniteBounds(t *testing.T) {
 		}
 	}
 	for _, b := range [][2]float64{{nan, 0.9}, {0.1, nan}, {0, 0.9}, {0.1, 1.5}} {
-		if _, err := SweepYield(s, b[0], b[1], 8); err == nil {
+		if _, err := SweepYieldCtx(context.Background(), s, b[0], b[1], 8); err == nil {
 			t.Errorf("SweepYield accepted bounds [%v, %v]", b[0], b[1])
 		}
 	}
@@ -152,8 +152,8 @@ func TestSweepRejectsNonFiniteBounds(t *testing.T) {
 func TestSweepSdBelowPole(t *testing.T) {
 	s := figure4Scenario(5000, 0.4)
 	lo := s.DesignCost.Sd0 - 10
-	if _, err := SweepSd(s, lo, 2000, 8); !errors.Is(err, ErrOutOfDomain) {
-		t.Fatalf("SweepSd(lo below s_d0): err = %v, want ErrOutOfDomain", err)
+	if _, err := SweepSdCtx(context.Background(), s, lo, 2000, 8); !errors.Is(err, ErrOutOfDomain) {
+		t.Fatalf("SweepSdCtx(lo below s_d0): err = %v, want ErrOutOfDomain", err)
 	}
 }
 
@@ -161,7 +161,7 @@ func TestSweepSdBelowPole(t *testing.T) {
 // and every point finite.
 func TestSweepYieldCurve(t *testing.T) {
 	s := figure4Scenario(5000, 0.4)
-	pts, err := SweepYield(s, 0.1, 1.0, 10)
+	pts, err := SweepYieldCtx(context.Background(), s, 0.1, 1.0, 10)
 	if err != nil {
 		t.Fatal(err)
 	}

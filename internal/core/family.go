@@ -1,9 +1,6 @@
 package core
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Family models §3.2's product-family amortization: "highly regular,
 // repetitive (across many products) and experimentally precharacterized
@@ -96,25 +93,4 @@ func FamilyTransistorCost(s Scenario, f Family) (Breakdown, error) {
 	}
 	b.DesignDE = perProduct
 	return b, nil
-}
-
-// FamilyBreakEvenSize returns the smallest family size whose amortized
-// per-product cost undercuts the standalone cost by at least the target
-// saving fraction (e.g. 0.25 = 25% cheaper). It returns an error when the
-// saving is unreachable at any size: the asymptotic saving is s·e.
-func (f Family) FamilyBreakEvenSize(targetSaving float64) (int, error) {
-	if err := f.Validate(); err != nil {
-		return 0, err
-	}
-	if !(targetSaving > 0 && targetSaving < 1) {
-		return 0, fmt.Errorf("core: target saving must be in (0,1), got %v", targetSaving)
-	}
-	saved := f.SharedFraction * f.ReuseEfficiency
-	if targetSaving >= saved {
-		return 0, fmt.Errorf("core: saving %v unreachable; asymptote is %v", targetSaving, saved)
-	}
-	// perProduct/standalone = (1 + (K−1)(1−saved))/K ≤ 1 − target
-	// ⇔ K ≥ saved/(saved − target).
-	k := saved / (saved - targetSaving)
-	return int(math.Ceil(k - 1e-12)), nil
 }

@@ -137,33 +137,6 @@ func TestFamilyTransistorCostValidation(t *testing.T) {
 	}
 }
 
-func TestFamilyBreakEvenSize(t *testing.T) {
-	f := testFamily() // asymptote 0.63
-	k, err := f.FamilyBreakEvenSize(0.4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Verify minimality.
-	at := Family{Products: k, SharedFraction: 0.7, ReuseEfficiency: 0.9}
-	per, _ := at.DesignCostPerProduct(1)
-	if per > 0.6+1e-12 {
-		t.Fatalf("K=%d saves only %v", k, 1-per)
-	}
-	if k > 1 {
-		below := Family{Products: k - 1, SharedFraction: 0.7, ReuseEfficiency: 0.9}
-		per, _ = below.DesignCostPerProduct(1)
-		if per <= 0.6 {
-			t.Fatalf("K=%d not minimal", k)
-		}
-	}
-	if _, err := f.FamilyBreakEvenSize(0.63); err == nil {
-		t.Fatal("accepted saving at the asymptote")
-	}
-	if _, err := f.FamilyBreakEvenSize(0); err == nil {
-		t.Fatal("accepted zero saving")
-	}
-}
-
 func TestDesignCostPerProductRejectsNegative(t *testing.T) {
 	if _, err := testFamily().DesignCostPerProduct(-1); err == nil {
 		t.Fatal("accepted negative standalone cost")

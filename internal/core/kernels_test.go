@@ -111,7 +111,9 @@ func TestYieldKernelMatchesScalar(t *testing.T) {
 			t.Fatalf("scenario %d: %v", si, err)
 		}
 		for _, y := range []float64{1e-6, 0.123456, 0.5, 0.999, 1} {
-			want, werr := s.WithYield(y).TransistorCost()
+			sy := s
+			sy.Process.Yield = y
+			want, werr := sy.TransistorCost()
 			if werr != nil {
 				t.Fatalf("scenario %d y=%v: %v", si, y, werr)
 			}

@@ -68,17 +68,11 @@ type SweepPoint struct {
 	Breakdown Breakdown
 }
 
-// SweepSd evaluates the scenario cost on n logarithmically spaced s_d
+// SweepSdCtx evaluates the scenario cost on n logarithmically spaced s_d
 // values in [lo, hi]. It is the Figure 4 workload. lo must exceed the
-// model's Sd0.
-func SweepSd(s Scenario, lo, hi float64, n int) ([]SweepPoint, error) {
-	return SweepSdCtx(context.Background(), s, lo, hi, n)
-}
-
-// SweepSdCtx is SweepSd honoring a caller context: a cancellation or
-// deadline aborts the remaining evaluations and returns ctx.Err(). Long
-// sweeps driven by servers use it to stop wasting workers on abandoned
-// requests.
+// model's Sd0. A cancellation or deadline of ctx aborts the remaining
+// evaluations and returns ctx.Err(). Long sweeps driven by servers use it
+// to stop wasting workers on abandoned requests.
 func SweepSdCtx(ctx context.Context, s Scenario, lo, hi float64, n int) ([]SweepPoint, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
@@ -123,16 +117,11 @@ func SweepVolumeCtx(ctx context.Context, s Scenario, lo, hi float64, n int) ([]S
 	return sweepEvalKernel(ctx, xs, eval)
 }
 
-// SweepYield evaluates the scenario cost on n linearly spaced
-// manufacturing yields in [lo, hi] ⊂ (0, 1]. Yield is the one swept axis
-// where a log grid would waste points: the interesting structure (the 1/Y
-// blow-up) lives at the low end of a bounded interval, so the spacing is
-// linear.
-func SweepYield(s Scenario, lo, hi float64, n int) ([]SweepPoint, error) {
-	return SweepYieldCtx(context.Background(), s, lo, hi, n)
-}
-
-// SweepYieldCtx is SweepYield honoring a caller context.
+// SweepYieldCtx evaluates the scenario cost on n linearly spaced
+// manufacturing yields in [lo, hi] ⊂ (0, 1], honoring ctx. Yield is the
+// one swept axis where a log grid would waste points: the interesting
+// structure (the 1/Y blow-up) lives at the low end of a bounded interval,
+// so the spacing is linear.
 func SweepYieldCtx(ctx context.Context, s Scenario, lo, hi float64, n int) ([]SweepPoint, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
@@ -253,64 +242,4 @@ func CrossoverVolume(a, b Scenario, loWafers, hiWafers float64) (float64, error)
 		return 0, err
 	}
 	return math.Exp(logW), nil
-}
-
-// Sensitivity reports the local elasticity of the eq (4) transistor cost
-// with respect to each scenario parameter: the percentage change in C_tr
-// per percent change in the parameter, estimated by central differences
-// with relative step h (default 1e-4 when non-positive).
-type Sensitivity struct {
-	Lambda      float64 // w.r.t. feature size λ
-	Sd          float64 // w.r.t. design decompression index
-	Yield       float64 // w.r.t. manufacturing yield
-	CmSq        float64 // w.r.t. manufacturing $/cm²
-	Wafers      float64 // w.r.t. production volume
-	Transistors float64 // w.r.t. design size
-}
-
-// Sensitivities computes cost elasticities around the scenario's operating
-// point. A value of +2 for Lambda means cost grows ~quadratically in λ
-// locally, matching the λ² factor of eq (3)–(4).
-func Sensitivities(s Scenario, h float64) (Sensitivity, error) {
-	if err := s.Validate(); err != nil {
-		return Sensitivity{}, err
-	}
-	if h <= 0 {
-		h = 1e-4
-	}
-	base, err := s.TransistorCost()
-	if err != nil {
-		return Sensitivity{}, err
-	}
-	elasticity := func(apply func(Scenario, float64) Scenario, x float64) (float64, error) {
-		up, err := apply(s, x*(1+h)).TransistorCost()
-		if err != nil {
-			return 0, err
-		}
-		dn, err := apply(s, x*(1-h)).TransistorCost()
-		if err != nil {
-			return 0, err
-		}
-		return (up.Total - dn.Total) / (2 * h * base.Total), nil
-	}
-	var out Sensitivity
-	if out.Lambda, err = elasticity(func(sc Scenario, v float64) Scenario { sc.Process.LambdaUM = v; return sc }, s.Process.LambdaUM); err != nil {
-		return Sensitivity{}, err
-	}
-	if out.Sd, err = elasticity(func(sc Scenario, v float64) Scenario { sc.Design.Sd = v; return sc }, s.Design.Sd); err != nil {
-		return Sensitivity{}, err
-	}
-	if out.Yield, err = elasticity(func(sc Scenario, v float64) Scenario { sc.Process.Yield = v; return sc }, s.Process.Yield); err != nil {
-		return Sensitivity{}, err
-	}
-	if out.CmSq, err = elasticity(func(sc Scenario, v float64) Scenario { sc.Process.CostPerCM2 = v; return sc }, s.Process.CostPerCM2); err != nil {
-		return Sensitivity{}, err
-	}
-	if out.Wafers, err = elasticity(func(sc Scenario, v float64) Scenario { sc.Wafers = v; return sc }, s.Wafers); err != nil {
-		return Sensitivity{}, err
-	}
-	if out.Transistors, err = elasticity(func(sc Scenario, v float64) Scenario { sc.Design.Transistors = v; return sc }, s.Design.Transistors); err != nil {
-		return Sensitivity{}, err
-	}
-	return out, nil
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"math"
 	"testing"
@@ -61,7 +62,7 @@ func TestOptimalSdValidation(t *testing.T) {
 
 func TestSweepSdShapeIsUCurve(t *testing.T) {
 	s := figure4Scenario(5000, 0.4)
-	pts, err := SweepSd(s, 105, 3000, 200)
+	pts, err := SweepSdCtx(context.Background(), s, 105, 3000, 200)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,13 +97,13 @@ func TestSweepSdShapeIsUCurve(t *testing.T) {
 
 func TestSweepSdValidation(t *testing.T) {
 	s := figure4Scenario(5000, 0.4)
-	if _, err := SweepSd(s, 50, 3000, 10); err == nil {
+	if _, err := SweepSdCtx(context.Background(), s, 50, 3000, 10); err == nil {
 		t.Fatal("accepted lo below s_d0")
 	}
-	if _, err := SweepSd(s, 300, 200, 10); err == nil {
+	if _, err := SweepSdCtx(context.Background(), s, 300, 200, 10); err == nil {
 		t.Fatal("accepted inverted range")
 	}
-	if _, err := SweepSd(s, 105, 3000, 1); err == nil {
+	if _, err := SweepSdCtx(context.Background(), s, 105, 3000, 1); err == nil {
 		t.Fatal("accepted single-point sweep")
 	}
 }
@@ -168,25 +169,46 @@ func TestCrossoverVolumeNoCross(t *testing.T) {
 	}
 }
 
+// elasticity estimates the local elasticity d ln C_tr / d ln x of the
+// eq (4) transistor cost at scenario s by central differences with
+// relative step 1e-5; set writes a value of x into a copy of s.
+func elasticity(t *testing.T, s Scenario, x float64, set func(*Scenario, float64)) float64 {
+	t.Helper()
+	cost := func(v float64) float64 {
+		sc := s
+		set(&sc, v)
+		b, err := sc.TransistorCost()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b.Total
+	}
+	const h = 1e-5
+	return (cost(x*(1+h)) - cost(x*(1-h))) / (2 * h * cost(x))
+}
+
+func lambdaOf(sc *Scenario, v float64)      { sc.Process.LambdaUM = v }
+func sdOf(sc *Scenario, v float64)          { sc.Design.Sd = v }
+func yieldOf(sc *Scenario, v float64)       { sc.Process.Yield = v }
+func cmSqOf(sc *Scenario, v float64)        { sc.Process.CostPerCM2 = v }
+func wafersOf(sc *Scenario, v float64)      { sc.Wafers = v }
+func transistorsOf(sc *Scenario, v float64) { sc.Design.Transistors = v }
+
 func TestSensitivitiesMatchAnalyticExponents(t *testing.T) {
 	// With design cost ≈ 0 (huge volume), eq (4) ≈ eq (3) = C·λ²·s_d/Y:
-	// elasticities must be λ:+2, s_d:+1, Y:-1, CmSq:+1, N_w:≈0, N_tr:≈0.
+	// elasticities must be λ:+2, s_d:+1, Y:-1, CmSq:+1, N_w:≈0.
 	s := figure4Scenario(1e8, 0.8)
-	sens, err := Sensitivities(s, 1e-5)
-	if err != nil {
-		t.Fatal(err)
-	}
 	checks := []struct {
 		name string
 		got  float64
 		want float64
 		tol  float64
 	}{
-		{"lambda", sens.Lambda, 2, 1e-3},
-		{"sd", sens.Sd, 1, 2e-2}, // slight deviation from the eq(6) term
-		{"yield", sens.Yield, -1, 1e-3},
-		{"cmsq", sens.CmSq, 1, 1e-2},
-		{"wafers", sens.Wafers, 0, 1e-2},
+		{"lambda", elasticity(t, s, s.Process.LambdaUM, lambdaOf), 2, 1e-3},
+		{"sd", elasticity(t, s, s.Design.Sd, sdOf), 1, 2e-2}, // slight deviation from the eq(6) term
+		{"yield", elasticity(t, s, s.Process.Yield, yieldOf), -1, 1e-3},
+		{"cmsq", elasticity(t, s, s.Process.CostPerCM2, cmSqOf), 1, 1e-2},
+		{"wafers", elasticity(t, s, s.Wafers, wafersOf), 0, 1e-2},
 	}
 	for _, c := range checks {
 		if math.Abs(c.got-c.want) > c.tol {
@@ -197,14 +219,10 @@ func TestSensitivitiesMatchAnalyticExponents(t *testing.T) {
 
 func TestSensitivitiesLowVolumeVolumeMatters(t *testing.T) {
 	s := figure4Scenario(2000, 0.4)
-	sens, err := Sensitivities(s, 1e-5)
-	if err != nil {
-		t.Fatal(err)
+	if e := elasticity(t, s, s.Wafers, wafersOf); e >= 0 {
+		t.Fatalf("volume elasticity = %v, want negative at low volume", e)
 	}
-	if sens.Wafers >= 0 {
-		t.Fatalf("volume elasticity = %v, want negative at low volume", sens.Wafers)
-	}
-	if sens.Transistors <= 0 {
-		t.Fatalf("transistor elasticity = %v, want positive at low volume (design cost grows)", sens.Transistors)
+	if e := elasticity(t, s, s.Design.Transistors, transistorsOf); e <= 0 {
+		t.Fatalf("transistor elasticity = %v, want positive at low volume (design cost grows)", e)
 	}
 }

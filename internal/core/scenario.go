@@ -119,13 +119,6 @@ func (s Scenario) WithWafers(wafers float64) Scenario {
 	return s
 }
 
-// WithYield returns a copy of the scenario with the manufacturing yield
-// replaced, for sweeps over Y.
-func (s Scenario) WithYield(yield float64) Scenario {
-	s.Process.Yield = yield
-	return s
-}
-
 // Generalized is eq (7): the same cost skeleton with every parameter
 // promoted to a function of the operating point, acknowledging that wafer
 // cost, design cost and yield are each complex functions of wafer area,

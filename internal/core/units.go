@@ -18,7 +18,6 @@ package core
 
 import (
 	"errors"
-	"fmt"
 	"math"
 )
 
@@ -28,41 +27,11 @@ const UMPerCM = 1e4
 // MicronsToCM converts a length in µm to cm.
 func MicronsToCM(um float64) float64 { return um / UMPerCM }
 
-// CMToMicrons converts a length in cm to µm.
-func CMToMicrons(cm float64) float64 { return cm * UMPerCM }
-
 // LambdaSquaredCM2 returns λ² in cm² for a feature size given in µm. This
 // is the geometric factor of eq (2)–(4).
 func LambdaSquaredCM2(lambdaUM float64) float64 {
 	l := MicronsToCM(lambdaUM)
 	return l * l
-}
-
-// TransistorDensity returns the transistor density T_d of eq (2) in
-// transistors per cm², given feature size λ in µm and design decompression
-// index s_d (λ² squares per transistor). It returns an error for
-// non-positive inputs.
-func TransistorDensity(lambdaUM, sd float64) (float64, error) {
-	if lambdaUM <= 0 {
-		return 0, fmt.Errorf("core: feature size must be positive, got %v µm", lambdaUM)
-	}
-	if sd <= 0 {
-		return 0, fmt.Errorf("core: s_d must be positive, got %v", sd)
-	}
-	return 1 / (LambdaSquaredCM2(lambdaUM) * sd), nil
-}
-
-// SdFromDensity inverts eq (2): given transistor density T_d (per cm²) and
-// feature size λ (µm), it returns the implied design decompression index
-// s_d. This is the computation behind Figure 2 (ITRS-implied s_d).
-func SdFromDensity(densityPerCM2, lambdaUM float64) (float64, error) {
-	if densityPerCM2 <= 0 {
-		return 0, fmt.Errorf("core: transistor density must be positive, got %v", densityPerCM2)
-	}
-	if lambdaUM <= 0 {
-		return 0, fmt.Errorf("core: feature size must be positive, got %v µm", lambdaUM)
-	}
-	return 1 / (densityPerCM2 * LambdaSquaredCM2(lambdaUM)), nil
 }
 
 // SdFromLayout computes s_d directly from a measured die: area in cm²,
@@ -82,14 +51,6 @@ func DieArea(transistors, lambdaUM, sd float64) (float64, error) {
 		return 0, errors.New("core: DieArea requires positive transistor count, feature size, and s_d")
 	}
 	return transistors * LambdaSquaredCM2(lambdaUM) * sd, nil
-}
-
-// DesignDensity returns d_d, the inverse of the decompression index.
-func DesignDensity(sd float64) (float64, error) {
-	if sd <= 0 {
-		return 0, fmt.Errorf("core: s_d must be positive, got %v", sd)
-	}
-	return 1 / sd, nil
 }
 
 // validYield reports whether y is a usable yield value.

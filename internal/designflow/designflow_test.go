@@ -3,8 +3,6 @@ package designflow
 import (
 	"math"
 	"testing"
-
-	"repro/internal/stats"
 )
 
 func testNetlist(t *testing.T, gates int, seed uint64) *Netlist {
@@ -172,72 +170,6 @@ func TestAnnealValidation(t *testing.T) {
 	}
 	if _, err := Anneal(n, p, AnnealConfig{Cooling: 1.5}); err == nil {
 		t.Fatal("accepted cooling > 1")
-	}
-}
-
-func TestDelayModel(t *testing.T) {
-	n := &Netlist{Gates: 4, Depth: 10, Nets: []Net{{Pins: []int{0, 1}}, {Pins: []int{2, 3}}}}
-	m := DelayModel{GateDelay: 1, WireDelayPerUnit: 0.5}
-	d, err := m.Delay(n, 20) // avg net WL 10
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d != 10*(1+0.5*10) {
-		t.Fatalf("delay = %v, want 60", d)
-	}
-	if _, err := m.Delay(n, -1); err == nil {
-		t.Fatal("accepted negative wirelength")
-	}
-	if _, err := (DelayModel{GateDelay: 0}).Delay(n, 1); err == nil {
-		t.Fatal("accepted zero gate delay")
-	}
-}
-
-func TestEstimateWirelengthInRegime(t *testing.T) {
-	study, err := RunEstimationStudy(NetlistConfig{Gates: 196, AvgFanout: 2, Locality: 0.5, Seed: 10}, 60000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The pre-layout estimator should land within 3x either way — it's a
-	// regime estimator, not an oracle (that's the paper's whole point).
-	if study.Ratio < 1.0/3 || study.Ratio > 3 {
-		t.Fatalf("estimate/actual = %v, want within 3x (est %v, actual %v)", study.Ratio, study.Estimated, study.Actual)
-	}
-}
-
-func TestNoisyEstimate(t *testing.T) {
-	r := stats.NewRNG(11)
-	// Zero sigma: exact.
-	e, err := NoisyEstimate(100, 0, r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e != 100 {
-		t.Fatalf("zero-sigma estimate = %v", e)
-	}
-	// Spread grows with sigma.
-	var spread float64
-	for i := 0; i < 1000; i++ {
-		e, err := NoisyEstimate(100, 0.3, r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if e < 0 {
-			t.Fatal("negative estimate")
-		}
-		spread += math.Abs(e - 100)
-	}
-	if spread/1000 < 10 {
-		t.Fatalf("sigma=0.3 mean abs deviation = %v, want ≈24", spread/1000)
-	}
-	if _, err := NoisyEstimate(-1, 0.1, r); err == nil {
-		t.Fatal("accepted negative actual")
-	}
-	if _, err := NoisyEstimate(1, -0.1, r); err == nil {
-		t.Fatal("accepted negative sigma")
-	}
-	if _, err := NoisyEstimate(1, 0.1, nil); err == nil {
-		t.Fatal("accepted nil RNG")
 	}
 }
 

@@ -79,20 +79,6 @@ func (cm *CongestionMap) Peak() (h, v float64) {
 	return h, v
 }
 
-// Mean returns the average horizontal and vertical edge demand.
-func (cm *CongestionMap) Mean() (h, v float64) {
-	var nh, nv int
-	for y := 0; y < cm.Rows; y++ {
-		for x := 0; x < cm.Cols; x++ {
-			h += cm.H[y][x]
-			v += cm.V[y][x]
-			nh++
-			nv++
-		}
-	}
-	return h / float64(nh), v / float64(nv)
-}
-
 // RoutabilityReport connects congestion to the paper's s_d: if the cell
 // fabric offers TracksPerCell routing tracks across each cell, a design
 // whose peak demand exceeds that supply must decompress — insert routing

@@ -8,43 +8,6 @@ import (
 	"repro/internal/stats"
 )
 
-// SdRange reports the spread of an s_d population.
-type SdRange struct {
-	Min, Max, Mean, Median float64
-	N                      int
-}
-
-// LogicSdRange summarizes the logic s_d of all devices that have logic.
-// The paper quotes this range as ≈100 (full custom) to ≈1000 (sparse
-// ASICs).
-func LogicSdRange() (SdRange, error) {
-	return sdRange(func(d Device) (float64, bool) {
-		return d.SdLogic, d.LogicTransistors > 0
-	})
-}
-
-// MemSdRange summarizes the memory s_d of all devices with embedded
-// memory. The paper quotes SRAM values near 30.
-func MemSdRange() (SdRange, error) {
-	return sdRange(func(d Device) (float64, bool) {
-		return d.SdMem, d.MemTransistors > 0
-	})
-}
-
-func sdRange(pick func(Device) (float64, bool)) (SdRange, error) {
-	var xs []float64
-	for _, d := range tableA1 {
-		if v, ok := pick(d); ok {
-			xs = append(xs, v)
-		}
-	}
-	s, err := stats.Summarize(xs)
-	if err != nil {
-		return SdRange{}, err
-	}
-	return SdRange{Min: s.Min, Max: s.Max, Mean: s.Mean, Median: s.Median, N: s.N}, nil
-}
-
 // VendorTrend fits logic s_d against year for one vendor's CPUs and
 // returns the regression. A positive slope is the "worsening design
 // density" trend §2.2.2 identifies for major microprocessor producers.
@@ -124,27 +87,4 @@ func IndustryTrend() (stats.LinearFit, error) {
 		}
 	}
 	return stats.LinearRegression(xs, ys)
-}
-
-// KindSummary reports the logic-s_d summary per device kind, showing the
-// customization spectrum: CPUs densest, ASIC-class parts sparsest.
-func KindSummary() (map[Kind]SdRange, error) {
-	out := make(map[Kind]SdRange)
-	for _, k := range []Kind{KindCPU, KindDSP, KindMPEG, KindASIC} {
-		var xs []float64
-		for _, d := range ByKind(k) {
-			if d.LogicTransistors > 0 {
-				xs = append(xs, d.SdLogic)
-			}
-		}
-		if len(xs) == 0 {
-			continue
-		}
-		s, err := stats.Summarize(xs)
-		if err != nil {
-			return nil, err
-		}
-		out[k] = SdRange{Min: s.Min, Max: s.Max, Mean: s.Mean, Median: s.Median, N: s.N}
-	}
-	return out, nil
 }

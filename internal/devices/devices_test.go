@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/stats"
 )
 
 func TestTableHas49Rows(t *testing.T) {
@@ -55,11 +56,28 @@ func TestRowSelfConsistency(t *testing.T) {
 	}
 }
 
-func TestPaperHeadlineRanges(t *testing.T) {
-	logic, err := LogicSdRange()
+// sdSummary summarizes the logic or memory s_d of every Table A1 device
+// that has logic or memory.
+func sdSummary(t *testing.T, memory bool) stats.Summary {
+	t.Helper()
+	var xs []float64
+	for _, d := range All() {
+		switch {
+		case memory && d.MemTransistors > 0:
+			xs = append(xs, d.SdMem)
+		case !memory && d.LogicTransistors > 0:
+			xs = append(xs, d.SdLogic)
+		}
+	}
+	s, err := stats.Summarize(xs)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return s
+}
+
+func TestPaperHeadlineRanges(t *testing.T) {
+	logic := sdSummary(t, false)
 	// §2.2.2: logic s_d ranges from ≈100 up toward 1000.
 	if logic.Min < 95 || logic.Min > 130 {
 		t.Errorf("min logic s_d = %v, want ≈100–130", logic.Min)
@@ -67,10 +85,7 @@ func TestPaperHeadlineRanges(t *testing.T) {
 	if logic.Max < 600 || logic.Max > 1000 {
 		t.Errorf("max logic s_d = %v, want 600–1000", logic.Max)
 	}
-	mem, err := MemSdRange()
-	if err != nil {
-		t.Fatal(err)
-	}
+	mem := sdSummary(t, true)
 	// SRAM values "in range of 30".
 	if mem.Min < 25 || mem.Min > 45 {
 		t.Errorf("min memory s_d = %v, want ≈30–45", mem.Min)
@@ -144,17 +159,21 @@ func TestIndustryTrendPositive(t *testing.T) {
 }
 
 func TestKindSummaryOrdering(t *testing.T) {
-	ks, err := KindSummary()
-	if err != nil {
-		t.Fatal(err)
+	sum, n := map[Kind]float64{}, map[Kind]float64{}
+	for _, d := range All() {
+		if d.LogicTransistors > 0 {
+			sum[d.Kind] += d.SdLogic
+			n[d.Kind]++
+		}
 	}
+	mean := func(k Kind) float64 { return sum[k] / n[k] }
 	// ASIC-class parts are the sparse tail; their mean must exceed CPUs'.
-	if ks[KindASIC].Mean <= ks[KindCPU].Mean {
-		t.Fatalf("ASIC mean s_d %v not above CPU mean %v", ks[KindASIC].Mean, ks[KindCPU].Mean)
+	if mean(KindASIC) <= mean(KindCPU) {
+		t.Fatalf("ASIC mean s_d %v not above CPU mean %v", mean(KindASIC), mean(KindCPU))
 	}
 	// MPEG parts too (544.5, 350.9, 408.1).
-	if ks[KindMPEG].Mean <= ks[KindCPU].Mean {
-		t.Fatalf("MPEG mean s_d %v not above CPU mean %v", ks[KindMPEG].Mean, ks[KindCPU].Mean)
+	if mean(KindMPEG) <= mean(KindCPU) {
+		t.Fatalf("MPEG mean s_d %v not above CPU mean %v", mean(KindMPEG), mean(KindCPU))
 	}
 }
 
@@ -178,23 +197,6 @@ func TestFigure1Series(t *testing.T) {
 func TestByAccessors(t *testing.T) {
 	if _, err := ByID(0); err == nil {
 		t.Fatal("accepted missing ID")
-	}
-	intel := ByVendor("Intel")
-	if len(intel) != 11 {
-		t.Fatalf("Intel rows = %d, want 11", len(intel))
-	}
-	srams := ByKind(KindSRAM)
-	if len(srams) != 1 || srams[0].SdMem > 40 {
-		t.Fatalf("SRAM rows = %+v", srams)
-	}
-	vendors := Vendors()
-	if len(vendors) < 10 {
-		t.Fatalf("vendor list too small: %v", vendors)
-	}
-	for i := 1; i < len(vendors); i++ {
-		if vendors[i] <= vendors[i-1] {
-			t.Fatal("vendors not sorted")
-		}
 	}
 }
 

@@ -29,15 +29,3 @@ func ExampleSameNodeComparison() {
 	// Output:
 	// Pentium II transistors cost 2.25x the K6's
 }
-
-// The headline spread of the Table A1 study.
-func ExampleLogicSdRange() {
-	r, err := devices.LogicSdRange()
-	if err != nil {
-		fmt.Println(err)
-		return
-	}
-	fmt.Printf("logic s_d spans %.1f to %.1f over %d designs\n", r.Min, r.Max, r.N)
-	// Output:
-	// logic s_d spans 104.1 to 765.3 over 48 designs
-}

@@ -17,7 +17,6 @@ package devices
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/core"
 )
@@ -126,42 +125,6 @@ func ByID(id int) (Device, error) {
 		}
 	}
 	return Device{}, fmt.Errorf("devices: no Table A1 row %d", id)
-}
-
-// ByKind returns all devices of the given kind, in table order.
-func ByKind(k Kind) []Device {
-	var out []Device
-	for _, d := range tableA1 {
-		if d.Kind == k {
-			out = append(out, d)
-		}
-	}
-	return out
-}
-
-// ByVendor returns all devices from the given vendor, in table order.
-func ByVendor(vendor string) []Device {
-	var out []Device
-	for _, d := range tableA1 {
-		if d.Vendor == vendor {
-			out = append(out, d)
-		}
-	}
-	return out
-}
-
-// Vendors returns the distinct vendor names, sorted.
-func Vendors() []string {
-	seen := map[string]bool{}
-	for _, d := range tableA1 {
-		seen[d.Vendor] = true
-	}
-	out := make([]string, 0, len(seen))
-	for v := range seen {
-		out = append(out, v)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // TotalTransistors returns the device's transistor count.

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/devices"
+	"repro/internal/stats"
 	"repro/internal/yield"
 )
 
@@ -105,7 +106,11 @@ func TestFigure3Shape(t *testing.T) {
 	if last.RequiredSd > 110 {
 		t.Fatalf("terminal required s_d = %v, want ≤ ~100", last.RequiredSd)
 	}
-	logic, err := devices.LogicSdRange()
+	var logicSd []float64
+	for _, p := range devices.Figure1Series() {
+		logicSd = append(logicSd, p.SdLogic)
+	}
+	logic, err := stats.Summarize(logicSd)
 	if err != nil {
 		t.Fatal(err)
 	}

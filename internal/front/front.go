@@ -100,7 +100,6 @@ type Router struct {
 	mux      *http.ServeMux
 	handler  http.Handler // mux wrapped in the observe middleware
 	tracer   *obs.Tracer
-	addr     atomic.Value // string: bound listen address
 
 	reg            *obs.Registry
 	requestsTotal  *obs.CounterVec // by replica and status code (or "transport_error")
@@ -110,10 +109,6 @@ type Router struct {
 	replicaUp      *obs.GaugeVec   // 1 = unbenched, sampled on change
 	proxySeconds   *obs.Histogram
 	spanSeconds    *obs.HistogramVec
-
-	// fleet is the /fleetz scrape state: previous totals so successive
-	// pulls can report a fleet-wide request rate.
-	fleet fleetState
 }
 
 // New builds a Router over cfg.Replicas.
@@ -160,7 +155,6 @@ func New(cfg Config) (*Router, error) {
 	rt.mux.HandleFunc("GET /healthz", rt.handleHealthz)
 	rt.mux.HandleFunc("GET /readyz", rt.handleReadyz)
 	rt.mux.HandleFunc("GET /frontz", rt.handleFrontz)
-	rt.mux.HandleFunc("GET /fleetz", rt.handleFleetz)
 	rt.mux.HandleFunc("GET /metrics", rt.handleMetrics)
 	rt.mux.HandleFunc("GET /debug/trace/{id}", rt.handleTraceFederated)
 	rt.mux.HandleFunc("/", rt.proxy)
@@ -171,14 +165,6 @@ func New(cfg Config) (*Router, error) {
 // Handler returns the router's root handler (the mux wrapped in the
 // observe middleware), for httptest mounting.
 func (rt *Router) Handler() http.Handler { return rt.handler }
-
-// Addr returns the bound listen address once Serve has started, or "".
-func (rt *Router) Addr() string {
-	if v := rt.addr.Load(); v != nil {
-		return v.(string)
-	}
-	return ""
-}
 
 // ListenAndServe listens on addr and serves until ctx is cancelled.
 func (rt *Router) ListenAndServe(ctx context.Context, addr string) error {
@@ -193,7 +179,6 @@ func (rt *Router) ListenAndServe(ctx context.Context, addr string) error {
 // log line carries the bound address the way nanocostd's does, so
 // scripts discover ephemeral ports by parsing it.
 func (rt *Router) Serve(ctx context.Context, ln net.Listener) error {
-	rt.addr.Store(ln.Addr().String())
 	rt.log.Info("nanocostfront listening",
 		"addr", ln.Addr().String(),
 		"replicas", strings.Join(rt.ring.replicas, ","))

@@ -2,7 +2,6 @@ package front
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 	"log/slog"
 	"net/http"
@@ -315,86 +314,6 @@ func TestRequestIDJoinsFrontAndReplicaLogs(t *testing.T) {
 				reqID, frontLog.String(), replicaLog.String())
 		}
 		time.Sleep(20 * time.Millisecond)
-	}
-}
-
-// TestFleetzRollupMatchesReplicaSum: the /fleetz rollup request count
-// equals the sum of the per-replica counters re-exposed on the same
-// pull, every re-exposed sample carries a replica label, and a replica
-// going down degrades to front_fleet_scrape_ok 0 — not a failed pull.
-func TestFleetzRollupMatchesReplicaSum(t *testing.T) {
-	newReplica := func() (*httptest.Server, *serve.Server) {
-		s := serve.NewServer(serve.Config{Logger: discardLogger()})
-		return httptest.NewServer(s.Handler()), s
-	}
-	tsA, sA := newReplica()
-	tsB, sB := newReplica()
-	defer tsA.Close()
-	defer tsB.Close()
-	defer sA.Close()
-	defer sB.Close()
-
-	rt := newTestRouter(t, Config{Replicas: []string{hostPort(tsA), hostPort(tsB)}})
-	for i := 0; i < 16; i++ {
-		if code, _, _ := via(t, rt, "POST", "/v1/cost", fmt.Sprintf(`{"process":{"lambda_um":0.18,"yield":0.4},"design":{"transistors":10e6,"sd":300},"wafers":%d}`, 1000+i)); code != http.StatusOK {
-			t.Fatalf("warmup request %d failed", i)
-		}
-	}
-
-	code, _, raw := via(t, rt, "GET", "/fleetz", "")
-	if code != http.StatusOK {
-		t.Fatalf("/fleetz = %d", code)
-	}
-	fams := parseExposition(string(raw))
-	byName := map[string]scrapedFamily{}
-	for _, f := range fams {
-		byName[f.name] = f
-	}
-
-	rollup, ok := byName["front_fleet_requests_total"]
-	if !ok || len(rollup.samples) != 1 {
-		t.Fatalf("front_fleet_requests_total missing or malformed: %+v", rollup)
-	}
-	perReplica, ok := byName["nanocostd_requests_total"]
-	if !ok || len(perReplica.samples) == 0 {
-		t.Fatal("per-replica nanocostd_requests_total not re-exposed")
-	}
-	var sum float64
-	replicas := map[string]bool{}
-	for _, smp := range perReplica.samples {
-		rep, has := labelValue(smp.labels, "replica")
-		if !has {
-			t.Fatalf("re-exposed sample without replica label: %+v", smp)
-		}
-		replicas[rep] = true
-		sum += smp.value
-	}
-	if len(replicas) != 2 {
-		t.Fatalf("re-exposed counters cover replicas %v, want both", replicas)
-	}
-	if rollup.samples[0].value != sum {
-		t.Fatalf("fleet rollup = %v, sum of per-replica counters = %v", rollup.samples[0].value, sum)
-	}
-	for _, fam := range []string{"front_fleet_rps", "front_fleet_request_seconds_p99",
-		"front_fleet_jobs_in_flight", "front_fleet_replicas_benched", "front_fleet_scrape_ok"} {
-		if _, ok := byName[fam]; !ok {
-			t.Fatalf("/fleetz missing rollup family %s", fam)
-		}
-	}
-	// The merged latency histogram has data, so p99 is a positive bound.
-	if p99 := byName["front_fleet_request_seconds_p99"].samples[0].value; p99 <= 0 {
-		t.Fatalf("fleet p99 = %v, want > 0 after traffic", p99)
-	}
-
-	// Kill one replica: the pull still answers 200 with the loss visible.
-	tsB.Close()
-	code, _, raw = via(t, rt, "GET", "/fleetz", "")
-	if code != http.StatusOK {
-		t.Fatalf("/fleetz with a replica down = %d, want 200", code)
-	}
-	want := fmt.Sprintf("front_fleet_scrape_ok{%s} 0", obs.Label("replica", hostPort(tsB)))
-	if !strings.Contains(string(raw), want) {
-		t.Fatalf("scrape failure not reported; missing %q", want)
 	}
 }
 

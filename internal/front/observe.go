@@ -124,5 +124,5 @@ func (rt *Router) observe(next http.Handler) http.Handler {
 // polls and trace lookups must not fill the trace ring with themselves.
 func shouldTrace(path string) bool {
 	return path != "/healthz" && path != "/readyz" && path != "/metrics" &&
-		path != "/frontz" && path != "/fleetz" && !strings.HasPrefix(path, "/debug/")
+		path != "/frontz" && !strings.HasPrefix(path, "/debug/")
 }

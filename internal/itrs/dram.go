@@ -1,6 +1,10 @@
 package itrs
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/core"
+)
 
 // DRAMNode is one generation of the roadmap's DRAM line. DRAM is the
 // counterpoint to the MPU series: its 1T1C cell tiles at ≈8F², so its
@@ -66,13 +70,13 @@ func (n DRAMNode) DieAreaCM2() float64 {
 	return arrayArea / n.ArrayShare
 }
 
-// ImpliedSd returns the whole-die decompression index A/(N·λ²) — pinned
-// near CellFactor/ArrayShare·(array fraction of transistors) across all
+// ImpliedSd returns the whole-die decompression index A/(N·λ²), eq (2)
+// inverted through core.SdFromLayout — pinned near
+// CellFactor/ArrayShare·(array fraction of transistors) across all
 // generations.
 func (n DRAMNode) ImpliedSd() (float64, error) {
 	if err := n.Validate(); err != nil {
 		return 0, err
 	}
-	f := n.LambdaUM / 1e4
-	return n.DieAreaCM2() / (n.Transistors() * f * f), nil
+	return core.SdFromLayout(n.DieAreaCM2(), n.Transistors(), n.LambdaUM)
 }

@@ -8,12 +8,7 @@ import (
 
 // The Figure 2/3 derivation for the roadmap's first node.
 func ExampleDerive() {
-	node, err := itrs.NodeByYear(1999)
-	if err != nil {
-		fmt.Println(err)
-		return
-	}
-	d, err := itrs.Derive(node)
+	d, err := itrs.Derive(itrs.Nodes()[0])
 	if err != nil {
 		fmt.Println(err)
 		return

@@ -52,43 +52,21 @@ func TestMooreDoubling(t *testing.T) {
 	}
 }
 
-func TestNodeByYear(t *testing.T) {
-	n, err := NodeByYear(1999)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n.LambdaUM != 0.180 || n.Transistors != 21e6 {
-		t.Fatalf("1999 node = %+v", n)
-	}
-	if _, err := NodeByYear(2000); err == nil {
-		t.Fatal("accepted missing year")
-	}
-}
-
-func TestNodeByLambda(t *testing.T) {
-	n, err := NodeByLambda(0.13)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n.Year != 2002 {
-		t.Fatalf("0.13 µm node year = %d, want 2002", n.Year)
-	}
-	if _, err := NodeByLambda(0.2); err == nil {
-		t.Fatal("accepted missing node")
-	}
-}
-
 func TestDensityGrows(t *testing.T) {
 	nodes := Nodes()
 	for i := 1; i < len(nodes); i++ {
-		if nodes[i].Density() <= nodes[i-1].Density() {
+		density := func(n Node) float64 { return n.Transistors / n.DieAreaCM2 }
+		if density(nodes[i]) <= density(nodes[i-1]) {
 			t.Fatalf("density not growing at %d", nodes[i].Year)
 		}
 	}
 }
 
 func TestDeriveFirstNode(t *testing.T) {
-	n, _ := NodeByYear(1999)
+	n := Nodes()[0]
+	if n.Year != 1999 {
+		t.Fatalf("first roadmap node is %d, want 1999", n.Year)
+	}
 	d, err := Derive(n)
 	if err != nil {
 		t.Fatal(err)
@@ -140,39 +118,6 @@ func TestDeriveAllPaperShapes(t *testing.T) {
 	// (s_d ≈ 300+, Table A1) cannot approach.
 	if last.RequiredSd > 110 {
 		t.Fatalf("terminal required s_d = %v, want ≤ ~100 (infeasible territory)", last.RequiredSd)
-	}
-}
-
-func TestInterpolators(t *testing.T) {
-	ti, err := TransistorInterp()
-	if err != nil {
-		t.Fatal(err)
-	}
-	li, err := LambdaInterp()
-	if err != nil {
-		t.Fatal(err)
-	}
-	di, err := DieAreaInterp()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Exact at knots.
-	n, _ := NodeByYear(2005)
-	if got := ti.At(2005); math.Abs(got-n.Transistors) > 1 {
-		t.Fatalf("transistor interp at 2005 = %v, want %v", got, n.Transistors)
-	}
-	if got := li.At(2005); math.Abs(got-n.LambdaUM) > 1e-9 {
-		t.Fatalf("lambda interp at 2005 = %v, want %v", got, n.LambdaUM)
-	}
-	if got := di.At(2005); math.Abs(got-n.DieAreaCM2) > 1e-9 {
-		t.Fatalf("die interp at 2005 = %v, want %v", got, n.DieAreaCM2)
-	}
-	// Between knots: lambda strictly between neighbors.
-	mid := li.At(2003.5)
-	n02, _ := NodeByYear(2002)
-	n05, _ := NodeByYear(2005)
-	if !(mid < n02.LambdaUM && mid > n05.LambdaUM) {
-		t.Fatalf("interpolated λ(2003.5) = %v outside (%v, %v)", mid, n05.LambdaUM, n02.LambdaUM)
 	}
 }
 

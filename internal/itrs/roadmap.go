@@ -13,12 +13,7 @@
 // detail; see DESIGN.md §3.
 package itrs
 
-import (
-	"errors"
-	"fmt"
-
-	"repro/internal/stats"
-)
+import "fmt"
 
 // Node is one technology generation of the roadmap's cost-performance MPU
 // line.
@@ -55,30 +50,6 @@ func Nodes() []Node {
 	return append([]Node(nil), mpu1999...)
 }
 
-// NodeByYear returns the roadmap node for the given year.
-func NodeByYear(year int) (Node, error) {
-	for _, n := range mpu1999 {
-		if n.Year == year {
-			return n, nil
-		}
-	}
-	return Node{}, fmt.Errorf("itrs: no roadmap node for year %d", year)
-}
-
-// NodeByLambda returns the roadmap node with the given feature size in µm
-// (matched to within 0.5 nm).
-func NodeByLambda(lambdaUM float64) (Node, error) {
-	for _, n := range mpu1999 {
-		if diff := n.LambdaUM - lambdaUM; diff < 5e-4 && diff > -5e-4 {
-			return n, nil
-		}
-	}
-	return Node{}, fmt.Errorf("itrs: no roadmap node at λ = %v µm", lambdaUM)
-}
-
-// Density returns the node's transistor density in transistors per cm².
-func (n Node) Density() float64 { return n.Transistors / n.DieAreaCM2 }
-
 // Validate reports the first invalid field of n, or nil.
 func (n Node) Validate() error {
 	switch {
@@ -90,36 +61,4 @@ func (n Node) Validate() error {
 		return fmt.Errorf("itrs: node %d: die area must be positive", n.Year)
 	}
 	return nil
-}
-
-// Interpolators over the roadmap, keyed on year, for studies that need
-// intermediate years. Built lazily from the node table.
-
-// TransistorInterp returns an interpolator of transistors-per-chip vs
-// year.
-func TransistorInterp() (*stats.Interpolator, error) {
-	return interpOn(func(n Node) float64 { return n.Transistors })
-}
-
-// LambdaInterp returns an interpolator of feature size (µm) vs year.
-func LambdaInterp() (*stats.Interpolator, error) {
-	return interpOn(func(n Node) float64 { return n.LambdaUM })
-}
-
-// DieAreaInterp returns an interpolator of die area (cm²) vs year.
-func DieAreaInterp() (*stats.Interpolator, error) {
-	return interpOn(func(n Node) float64 { return n.DieAreaCM2 })
-}
-
-func interpOn(f func(Node) float64) (*stats.Interpolator, error) {
-	if len(mpu1999) < 2 {
-		return nil, errors.New("itrs: roadmap table too small")
-	}
-	xs := make([]float64, len(mpu1999))
-	ys := make([]float64, len(mpu1999))
-	for i, n := range mpu1999 {
-		xs[i] = float64(n.Year)
-		ys[i] = f(n)
-	}
-	return stats.NewInterpolator(xs, ys)
 }

@@ -1,7 +1,6 @@
 package layout
 
 import (
-	"math"
 	"testing"
 )
 
@@ -26,7 +25,7 @@ func TestCritEvaluatorZeroAllocEval(t *testing.T) {
 	}
 	var sink float64
 	allocs := testing.AllocsPerRun(100, func() {
-		sink += ev.ShortArea(4) + ev.OpenArea(4) + ev.Area(2.5) + ev.Fraction(3)
+		sink += ev.ShortArea(4) + ev.OpenArea(4) + ev.Area(2.5)
 	})
 	if allocs != 0 {
 		t.Fatalf("CritEvaluator eval allocates %v per run, want 0", allocs)
@@ -72,88 +71,6 @@ func TestCritEvaluatorMatchesPublicKernels(t *testing.T) {
 		}
 		if got := ev.OpenArea(x); got != o {
 			t.Fatalf("x=%v: evaluator opens %v != OpenCriticalArea %v", x, got, o)
-		}
-		f, err := CriticalFraction(l, Metal1, x)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := ev.Fraction(x); math.Abs(got-f) > 0 {
-			t.Fatalf("x=%v: evaluator fraction %v != CriticalFraction %v", x, got, f)
-		}
-	}
-}
-
-func TestUnionAreaSmallInputsNoAlloc(t *testing.T) {
-	one := []Rect{{X0: 2, Y0: 3, X1: 7, Y1: 9, Layer: Metal1}}
-	if got := UnionArea(nil); got != 0 {
-		t.Fatalf("UnionArea(nil) = %d, want 0", got)
-	}
-	if got := UnionArea(one); got != 30 {
-		t.Fatalf("UnionArea(one rect) = %d, want 30", got)
-	}
-	allocs := testing.AllocsPerRun(100, func() {
-		if UnionArea(nil) != 0 || UnionArea(one) != 30 {
-			t.Fatal("wrong area")
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("0/1-rect UnionArea allocates %v per run, want 0", allocs)
-	}
-}
-
-func TestDedupIntsSmallInputsUntouched(t *testing.T) {
-	if got := dedupInts(nil); got != nil {
-		t.Fatalf("dedupInts(nil) = %v", got)
-	}
-	single := []int{5}
-	got := dedupInts(single)
-	if len(got) != 1 || got[0] != 5 || &got[0] != &single[0] {
-		t.Fatalf("dedupInts(single) did not return the input in place: %v", got)
-	}
-	allocs := testing.AllocsPerRun(100, func() { dedupInts(single) })
-	if allocs != 0 {
-		t.Fatalf("1-element dedupInts allocates %v per run, want 0", allocs)
-	}
-}
-
-func TestUnionAreaScratchReuse(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops items under the race detector; reuse bound holds only in regular builds")
-	}
-	rects := allocTestLayout(t).LayerRects(Metal1)
-	want := UnionArea(rects) // warm the pooled scratch
-	allocs := testing.AllocsPerRun(50, func() {
-		if UnionArea(rects) != want {
-			t.Fatal("union area changed between runs")
-		}
-	})
-	// The pool can be drained by a concurrent GC, so allow a stray refill
-	// but reject per-call churn (the old implementation allocated one
-	// interval slice per x-slab).
-	if allocs > 1 {
-		t.Fatalf("warm UnionArea allocates %v per run, want ≤1", allocs)
-	}
-}
-
-func TestCriticalAreaCurveCachedMatchesUncached(t *testing.T) {
-	l := allocTestLayout(t)
-	sizes := []float64{0.5, 1, 2, 4, 8, 16}
-	want, err := CriticalAreaCurve(l, Metal1, sizes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for pass := 0; pass < 2; pass++ { // cold then warm
-		got, err := CriticalAreaCurveCached(l, Metal1, sizes)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("pass %d: length %d != %d", pass, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("pass %d: point %d: cached %v != uncached %v", pass, i, got[i], want[i])
-			}
 		}
 	}
 }

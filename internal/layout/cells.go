@@ -31,9 +31,6 @@ func (c Cell) Validate() error {
 	return nil
 }
 
-// Sd returns the cell's intrinsic decompression index (λ² per transistor).
-func (c Cell) Sd() float64 { return float64(c.Width*c.Height) / float64(c.Transistors) }
-
 // transistorGeometry returns the diffusion+poly skeleton of n gate
 // transistors laid out in a row starting at (x, y): a diffusion strip
 // crossed by n poly gates at pitch 4λ.

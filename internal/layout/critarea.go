@@ -146,16 +146,6 @@ func (e *CritEvaluator) Area(x float64) float64 {
 	return e.ShortArea(x) + e.OpenArea(x)
 }
 
-// Fraction returns the combined critical area at x as a fraction of the
-// layout bounding box, clamped to [0, 1].
-func (e *CritEvaluator) Fraction(x float64) float64 {
-	f := e.Area(x) / float64(e.dieArea)
-	if f > 1 {
-		f = 1
-	}
-	return f
-}
-
 // critEvalPool recycles evaluators across the convenience wrappers below,
 // so one-shot calls reuse box and wire buffers instead of reallocating
 // them per invocation.
@@ -207,43 +197,6 @@ func OpenCriticalArea(l *Layout, layer Layer, defectSize float64) (float64, erro
 		}
 	}
 	return total, nil
-}
-
-// CriticalAreaCurve samples the combined (shorts + opens) critical area of
-// a layer at the given defect sizes, returning a function-ready table for
-// yield.AverageCriticalArea. Sizes must be non-negative. The geometry is
-// extracted and sorted once for the whole curve.
-func CriticalAreaCurve(l *Layout, layer Layer, sizes []float64) ([]float64, error) {
-	e := critEvalPool.Get().(*CritEvaluator)
-	defer critEvalPool.Put(e)
-	if err := e.Reset(l, layer); err != nil {
-		return nil, err
-	}
-	out := make([]float64, len(sizes))
-	for i, x := range sizes {
-		if x < 0 {
-			return nil, fmt.Errorf("layout: defect size must be non-negative, got %v", x)
-		}
-		out[i] = e.Area(x)
-	}
-	return out, nil
-}
-
-// CriticalFraction returns the combined critical area at defect size x as
-// a fraction of the layout bounding box, the per-layer critical fraction
-// the yield.Stack consumes. The fraction is clamped to [0, 1]: beyond
-// defect sizes comparable to the die, the geometric approximation
-// overcounts.
-func CriticalFraction(l *Layout, layer Layer, defectSize float64) (float64, error) {
-	if defectSize < 0 {
-		return 0, fmt.Errorf("layout: defect size must be non-negative, got %v", defectSize)
-	}
-	e := critEvalPool.Get().(*CritEvaluator)
-	defer critEvalPool.Put(e)
-	if err := e.Reset(l, layer); err != nil {
-		return 0, err
-	}
-	return e.Fraction(defectSize), nil
 }
 
 func minF(a, b float64) float64 {

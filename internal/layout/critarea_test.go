@@ -112,51 +112,43 @@ func TestOpenCriticalArea(t *testing.T) {
 
 func TestCriticalAreaCurveAndFraction(t *testing.T) {
 	l := twoWires(4)
-	sizes := []float64{1, 3, 5, 8}
-	curve, err := CriticalAreaCurve(l, Metal1, sizes)
+	ev, err := NewCritEvaluator(l, Metal1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(curve) != len(sizes) {
-		t.Fatalf("curve has %d points", len(curve))
-	}
-	for i := 1; i < len(curve); i++ {
-		if curve[i] < curve[i-1] {
+	prev := 0.0
+	for _, x := range []float64{1, 3, 5, 8} {
+		a := ev.Area(x)
+		if a < prev {
 			t.Fatal("combined curve not monotone")
 		}
+		prev = a
 	}
-	f, err := CriticalFraction(l, Metal1, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := critFraction(t, l, 6)
 	want := (200.0 + 2*100*4) / float64(120*40) // shorts + opens
 	if math.Abs(f-want) > 1e-9 {
 		t.Fatalf("critical fraction = %v, want %v", f, want)
 	}
-	// Huge defects clamp at 1.
-	f, err = CriticalFraction(l, Metal1, 1e6)
+}
+
+// critFraction returns the combined (shorts + opens) Metal1 critical area
+// at defect size x as a fraction of the layout bounding box.
+func critFraction(t *testing.T, l *Layout, x float64) float64 {
+	t.Helper()
+	ev, err := NewCritEvaluator(l, Metal1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f != 1 {
-		t.Fatalf("huge-defect fraction = %v, want 1 (clamped)", f)
-	}
+	return ev.Area(x) / float64(l.AreaLambda2())
 }
 
 func TestDenserLayoutHasLargerCriticalFraction(t *testing.T) {
-	// The DensityScaledStack assumption made measurable: at a fixed defect
-	// size, a tighter layout exposes more shorts-critical area per unit
-	// area than a sparse one.
+	// Design density made measurable: at a fixed defect size, a tighter
+	// layout exposes more shorts-critical area per unit area than a sparse
+	// one.
 	tight := twoWires(2)
 	sparse := twoWires(10)
-	ft, err := CriticalFraction(tight, Metal1, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fs, err := CriticalFraction(sparse, Metal1, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ft, fs := critFraction(t, tight, 6), critFraction(t, sparse, 6)
 	if ft <= fs {
 		t.Fatalf("tight fraction %v not above sparse %v", ft, fs)
 	}

@@ -11,11 +11,7 @@
 // concrete λ instantiates physical dimensions.
 package layout
 
-import (
-	"fmt"
-	"slices"
-	"sync"
-)
+import "fmt"
 
 // Layer identifies a mask layer.
 type Layer uint8
@@ -61,17 +57,9 @@ func (r Rect) W() int { return r.X1 - r.X0 }
 // H returns the height in λ.
 func (r Rect) H() int { return r.Y1 - r.Y0 }
 
-// Area returns the area in λ².
-func (r Rect) Area() int { return r.W() * r.H() }
-
 // Translate returns the rectangle shifted by (dx, dy).
 func (r Rect) Translate(dx, dy int) Rect {
 	return Rect{X0: r.X0 + dx, Y0: r.Y0 + dy, X1: r.X1 + dx, Y1: r.Y1 + dy, Layer: r.Layer}
-}
-
-// Intersects reports whether two rectangles on the same layer overlap.
-func (r Rect) Intersects(o Rect) bool {
-	return r.Layer == o.Layer && r.X0 < o.X1 && o.X0 < r.X1 && r.Y0 < o.Y1 && o.Y0 < r.Y1
 }
 
 // Layout is a collection of rectangles over a bounding box, annotated with
@@ -118,15 +106,6 @@ func (l *Layout) Sd() (float64, error) {
 	return float64(l.AreaLambda2()) / float64(l.Transistors), nil
 }
 
-// AreaCM2 returns the physical area at feature size lambdaUM (µm).
-func (l *Layout) AreaCM2(lambdaUM float64) (float64, error) {
-	if lambdaUM <= 0 {
-		return 0, fmt.Errorf("layout %q: feature size must be positive", l.Name)
-	}
-	side := lambdaUM / 1e4 // λ in cm
-	return float64(l.AreaLambda2()) * side * side, nil
-}
-
 // LayerRects returns the rectangles on one layer, in insertion order.
 func (l *Layout) LayerRects(layer Layer) []Rect {
 	var out []Rect
@@ -134,21 +113,6 @@ func (l *Layout) LayerRects(layer Layer) []Rect {
 		if r.Layer == layer {
 			out = append(out, r)
 		}
-	}
-	return out
-}
-
-// GeometryUtilization returns the fraction of the bounding box covered by
-// drawn geometry per layer (overlaps counted once), a proxy for how tight
-// the layout is. Layers with no geometry are omitted.
-func (l *Layout) GeometryUtilization() map[Layer]float64 {
-	out := make(map[Layer]float64)
-	for layer := Layer(0); layer < numLayers; layer++ {
-		rects := l.LayerRects(layer)
-		if len(rects) == 0 {
-			continue
-		}
-		out[layer] = float64(UnionArea(rects)) / float64(l.AreaLambda2())
 	}
 	return out
 }
@@ -180,90 +144,4 @@ func (l *Layout) ContentHash() uint64 {
 		mix(uint64(r.Layer))
 	}
 	return h
-}
-
-// unionScratch holds the reusable coordinate buffers of the union-area
-// sweep, so repeated calls allocate nothing once the buffers have grown
-// to the working-set size.
-type unionScratch struct {
-	xs []int
-	ys [][2]int
-}
-
-var unionPool = sync.Pool{New: func() any { return new(unionScratch) }}
-
-// UnionArea computes the exact union area of rectangles by coordinate
-// compression and sweep. Inputs of zero or one rectangle return without
-// allocating or touching the scratch pool.
-func UnionArea(rects []Rect) int {
-	switch len(rects) {
-	case 0:
-		return 0
-	case 1:
-		return rects[0].Area()
-	}
-	s := unionPool.Get().(*unionScratch)
-	defer unionPool.Put(s)
-	return s.unionArea(rects)
-}
-
-// unionArea is the sweep body; the scratch buffers persist on s.
-func (s *unionScratch) unionArea(rects []Rect) int {
-	xs := s.xs[:0]
-	for _, r := range rects {
-		xs = append(xs, r.X0, r.X1)
-	}
-	slices.Sort(xs)
-	s.xs = xs
-	xs = dedupInts(xs)
-	total := 0
-	for i := 0; i+1 < len(xs); i++ {
-		x0, x1 := xs[i], xs[i+1]
-		// Collect y intervals of rects spanning this x slab, reusing the
-		// interval buffer across slabs.
-		ys := s.ys[:0]
-		for _, r := range rects {
-			if r.X0 <= x0 && r.X1 >= x1 {
-				ys = append(ys, [2]int{r.Y0, r.Y1})
-			}
-		}
-		s.ys = ys
-		if len(ys) == 0 {
-			continue
-		}
-		slices.SortFunc(ys, func(a, b [2]int) int {
-			if a[0] != b[0] {
-				return a[0] - b[0]
-			}
-			return a[1] - b[1]
-		})
-		covered := 0
-		curLo, curHi := ys[0][0], ys[0][1]
-		for _, iv := range ys[1:] {
-			if iv[0] > curHi {
-				covered += curHi - curLo
-				curLo, curHi = iv[0], iv[1]
-			} else if iv[1] > curHi {
-				curHi = iv[1]
-			}
-		}
-		covered += curHi - curLo
-		total += covered * (x1 - x0)
-	}
-	return total
-}
-
-// dedupInts compacts consecutive duplicates of a sorted slice in place.
-// Inputs of length 0 or 1 are returned untouched.
-func dedupInts(xs []int) []int {
-	if len(xs) <= 1 {
-		return xs
-	}
-	out := xs[:0]
-	for i, x := range xs {
-		if i == 0 || x != out[len(out)-1] {
-			out = append(out, x)
-		}
-	}
-	return out
 }

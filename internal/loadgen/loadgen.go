@@ -168,6 +168,46 @@ func Percentile(sorted []time.Duration, q float64) time.Duration {
 	return sorted[idx]
 }
 
+// shoot sends one request for e to base and records it. In the open loop
+// due is the arrival's scheduled time and latency runs from it, so a
+// generator that falls behind its schedule (a stalled loop, a goroutine
+// that starts late) counts the delay as latency instead of hiding it. A
+// zero due, the closed loop's, times from the send. The request context
+// is the caller's, not the run's deadline: an arrival admitted before the
+// deadline gets its full timeout, so the tail of the run is measured, not
+// truncated.
+func shoot(ctx context.Context, client *http.Client, base string, rec *recorder, e Endpoint, due time.Time) {
+	var rd io.Reader
+	if e.Body != "" {
+		rd = strings.NewReader(e.Body)
+	}
+	req, err := http.NewRequestWithContext(ctx, e.Method, base+e.Path, rd)
+	if err != nil {
+		rec.record(e.Name, 0, 0, nil, true)
+		return
+	}
+	if e.Body != "" {
+		req.Header.Set("Content-Type", "application/json")
+	}
+	start := due
+	if start.IsZero() {
+		start = time.Now()
+	}
+	resp, err := client.Do(req)
+	if err != nil {
+		rec.record(e.Name, time.Since(start), 0, nil, true)
+		return
+	}
+	body, rerr := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	elapsed := time.Since(start)
+	if rerr != nil {
+		rec.record(e.Name, elapsed, 0, nil, true)
+		return
+	}
+	rec.record(e.Name, elapsed, resp.StatusCode, body, false)
+}
+
 // Run drives the configured load until Duration elapses (or ctx is
 // cancelled, whichever first) and returns the aggregated result.
 func Run(ctx context.Context, cfg Config) (*Result, error) {
@@ -187,38 +227,6 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 
 	runCtx, cancel := context.WithTimeout(ctx, cfg.Duration)
 	defer cancel()
-
-	shoot := func(e Endpoint) {
-		var rd io.Reader
-		if e.Body != "" {
-			rd = strings.NewReader(e.Body)
-		}
-		// The request context is NOT runCtx: an arrival admitted before
-		// the deadline gets its full timeout, so the tail of the run is
-		// measured, not truncated.
-		req, err := http.NewRequestWithContext(ctx, e.Method, base+e.Path, rd)
-		if err != nil {
-			rec.record(e.Name, 0, 0, nil, true)
-			return
-		}
-		if e.Body != "" {
-			req.Header.Set("Content-Type", "application/json")
-		}
-		start := time.Now()
-		resp, err := cfg.Client.Do(req)
-		if err != nil {
-			rec.record(e.Name, time.Since(start), 0, nil, true)
-			return
-		}
-		body, rerr := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		elapsed := time.Since(start)
-		if rerr != nil {
-			rec.record(e.Name, elapsed, 0, nil, true)
-			return
-		}
-		rec.record(e.Name, elapsed, resp.StatusCode, body, false)
-	}
 
 	start := time.Now()
 	mode := "closed"
@@ -259,7 +267,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 			e := cfg.Endpoints[arrivals%len(cfg.Endpoints)]
 			arrivals++
 			wg.Add(1)
-			go func() { defer wg.Done(); shoot(e) }()
+			go func() { defer wg.Done(); shoot(ctx, cfg.Client, base, rec, e, next) }()
 		}
 	} else {
 		for w := 0; w < cfg.Concurrency; w++ {
@@ -267,7 +275,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 			go func(offset int) {
 				defer wg.Done()
 				for i := offset; runCtx.Err() == nil; i++ {
-					shoot(cfg.Endpoints[i%len(cfg.Endpoints)])
+					shoot(ctx, cfg.Client, base, rec, cfg.Endpoints[i%len(cfg.Endpoints)], time.Time{})
 				}
 			}(w)
 		}

@@ -240,6 +240,33 @@ func TestOpenLoopHoldsRateUnderLoad(t *testing.T) {
 	}
 }
 
+// TestOpenLoopTimesFromDueTime: an open-loop arrival that starts 50 ms
+// after its scheduled time records those 50 ms as latency, so a stalled
+// generator shows up in the percentiles instead of hiding. A closed-loop
+// request (zero due time) still times from its send.
+func TestOpenLoopTimesFromDueTime(t *testing.T) {
+	client := &http.Client{Transport: stubTransport{}}
+	e := Endpoint{Name: "ok", Method: "GET", Path: "/ok"}
+	const late = 50 * time.Millisecond
+	for _, tc := range []struct {
+		name     string
+		due      time.Time
+		min, max time.Duration
+	}{
+		{"open loop, due 50ms ago", time.Now().Add(-late), late, time.Hour},
+		{"closed loop", time.Time{}, 0, late},
+	} {
+		rec := &recorder{byName: map[string]*EndpointResult{"ok": {Name: "ok"}}}
+		shoot(context.Background(), client, "http://stub.invalid", rec, e, tc.due)
+		if len(rec.latencies) != 1 {
+			t.Fatalf("%s: %d samples, want 1", tc.name, len(rec.latencies))
+		}
+		if got := rec.latencies[0]; got < tc.min || got >= tc.max {
+			t.Fatalf("%s: latency %v, want in [%v, %v)", tc.name, got, tc.min, tc.max)
+		}
+	}
+}
+
 // TestCheckSLOFlagsArrivalUndershoot: an open-loop run that failed to
 // sustain its own requested rate is a violation in itself, even with
 // perfect latencies.

@@ -59,16 +59,6 @@ func NewShardEvaluator(k Kernel, cfg RunConfig) (*ShardEvaluator, error) {
 	return e, nil
 }
 
-// Shards returns the resolved shard count (defaults applied, clamped to
-// the chunk count).
-func (e *ShardEvaluator) Shards() int { return e.p.shards }
-
-// Chunks returns the total unit-chunk count of the plan.
-func (e *ShardEvaluator) Chunks() int { return e.p.chunks }
-
-// ShardTrials returns the trial count shard s covers.
-func (e *ShardEvaluator) ShardTrials(s int) int64 { return e.p.shardTrials(s) }
-
 // EvalShard computes shard s's per-chunk partials in chunk order. The
 // returned slice depends only on (kernel spec, trials, seed, s) — never
 // on the host, the shard count of other shards, or prior calls.

@@ -6,10 +6,10 @@
 // effectiveness (-stats).
 //
 // The caches here memoize derived quantities that are expensive to
-// recompute and cheap to key — critical-area curves keyed by a layout
-// content hash, size-averaged critical fractions keyed by hash plus the
-// defect-size distribution — so design-space sweeps that revisit the same
-// geometry stop paying for identical extractions.
+// recompute and cheap to key — size-averaged critical fractions keyed by
+// a layout content hash plus the defect-size distribution, rendered
+// figures keyed by id and resolution — so design-space sweeps that
+// revisit the same geometry stop paying for identical extractions.
 //
 // Cached values may be shared between callers: treat them as immutable.
 package memo
@@ -122,13 +122,6 @@ func (c *Cache[K, V]) Get(key K, fill func() (V, error)) (V, error) {
 	return v, err
 }
 
-// Len returns the number of cached entries (including in-flight fills).
-func (c *Cache[K, V]) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
-}
-
 // Purge drops every cached entry. Counters are preserved: they describe
 // the process lifetime, not the current contents. In-flight fills
 // complete normally but their slots are forgotten.
@@ -205,8 +198,8 @@ func Stats() []CacheStats {
 	return out
 }
 
-// PurgeAll empties every registered cache (counters are preserved). Tests
-// and cold-cache benchmarks use it to re-establish a cold start.
+// PurgeAll empties every registered cache (counters are preserved). The
+// cold/warm golden tests use it to re-establish a cold start.
 func PurgeAll() {
 	registry.mu.Lock()
 	caches := make([]purger, len(registry.caches))

@@ -38,8 +38,8 @@ func TestErrorsAreNotCached(t *testing.T) {
 	if _, err := c.Get("k", func() (int, error) { calls++; return 0, boom }); !errors.Is(err, boom) {
 		t.Fatalf("err = %v", err)
 	}
-	if c.Len() != 0 {
-		t.Fatalf("failed fill left %d entries", c.Len())
+	if c.Stats().Len != 0 {
+		t.Fatalf("failed fill left %d entries", c.Stats().Len)
 	}
 	v, err := c.Get("k", func() (int, error) { calls++; return 9, nil })
 	if err != nil || v != 9 {
@@ -107,8 +107,8 @@ func TestFailedFillWaitersCountAsMisses(t *testing.T) {
 	if s.Evictions != 0 {
 		t.Fatalf("evictions = %d; the errored drop must not count as an LRU eviction", s.Evictions)
 	}
-	if c.Len() != 0 {
-		t.Fatalf("len = %d after failed fill, want 0 (slot dropped exactly once)", c.Len())
+	if c.Stats().Len != 0 {
+		t.Fatalf("len = %d after failed fill, want 0 (slot dropped exactly once)", c.Stats().Len)
 	}
 
 	// The key is retryable and a success counts as the usual miss-then-hit.
@@ -135,8 +135,8 @@ func TestLRUEviction(t *testing.T) {
 	c.Get(2, fill(2))
 	c.Get(1, fill(1)) // touch 1: now 2 is least-recent
 	c.Get(3, fill(3)) // evicts 2
-	if c.Len() != 2 {
-		t.Fatalf("len = %d", c.Len())
+	if c.Stats().Len != 2 {
+		t.Fatalf("len = %d", c.Stats().Len)
 	}
 	touched := false
 	c.Get(1, func() (int, error) { touched = true; return 0, nil })
@@ -192,8 +192,8 @@ func TestPurgePreservesCounters(t *testing.T) {
 	c.Get(1, func() (int, error) { return 1, nil })
 	c.Get(1, func() (int, error) { return 1, nil })
 	c.Purge()
-	if c.Len() != 0 {
-		t.Fatalf("len after purge = %d", c.Len())
+	if c.Stats().Len != 0 {
+		t.Fatalf("len after purge = %d", c.Stats().Len)
 	}
 	s := c.Stats()
 	if s.Hits != 1 || s.Misses != 1 {
@@ -248,7 +248,7 @@ func TestDistinctKeysUnderCapacity(t *testing.T) {
 			t.Fatalf("key %s: %q, %v", k, v, err)
 		}
 	}
-	if c.Len() != 32 {
-		t.Fatalf("len = %d", c.Len())
+	if c.Stats().Len != 32 {
+		t.Fatalf("len = %d", c.Stats().Len)
 	}
 }

@@ -73,9 +73,6 @@ func (f *Flags) Validate() error {
 	return nil
 }
 
-// Level returns the parsed log level. Call Validate first.
-func (f *Flags) Level() slog.Level { return f.level }
-
 // Logger builds the configured logger writing to w. Call Validate first.
 func (f *Flags) Logger(w io.Writer) *slog.Logger {
 	log, err := NewLogger(w, f.level, f.LogFormat)

@@ -85,7 +85,7 @@ func TestFlagsRegisterValidate(t *testing.T) {
 	if err := f.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if f.Level() != slog.LevelDebug || !f.Trace {
+	if !f.Logger(io.Discard).Enabled(context.Background(), slog.LevelDebug) || !f.Trace {
 		t.Errorf("flags = %+v", f)
 	}
 

@@ -271,17 +271,6 @@ func (v *GaugeVec) With(values ...string) *Gauge {
 	return g
 }
 
-// Value returns the child's value, zero if the label set was never used.
-func (v *GaugeVec) Value(values ...string) int64 {
-	k := v.key(values)
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if g, ok := v.children[k]; ok {
-		return g.Value()
-	}
-	return 0
-}
-
 func (v *GaugeVec) write(w io.Writer) {
 	writeHeader(w, v.name, v.help, "gauge")
 	v.mu.Lock()
@@ -322,22 +311,6 @@ func (g *FloatGauge) Value() float64 { return math.Float64frombits(g.bits.Load()
 func (g *FloatGauge) write(w io.Writer) {
 	writeHeader(w, g.name, g.help, "gauge")
 	fmt.Fprintf(w, "%s %s\n", g.name, formatFloat(g.Value()))
-}
-
-// gaugeFunc samples a float64 at scrape time.
-type gaugeFunc struct {
-	name, help string
-	fn         func() float64
-}
-
-// NewGaugeFunc registers a gauge whose value is computed at scrape time.
-func (r *Registry) NewGaugeFunc(name, help string, fn func() float64) {
-	r.register(&gaugeFunc{name: name, help: help, fn: fn}, name)
-}
-
-func (g *gaugeFunc) write(w io.Writer) {
-	writeHeader(w, g.name, g.help, "gauge")
-	fmt.Fprintf(w, "%s %s\n", g.name, formatFloat(g.fn()))
 }
 
 // ---------------------------------------------------------------------------

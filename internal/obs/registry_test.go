@@ -58,13 +58,6 @@ func TestRegistryExposition(t *testing.T) {
 	gv.With("127.0.0.1:8087").Set(1)
 	gv.With("127.0.0.1:8088").Set(1)
 	gv.With("127.0.0.1:8088").Set(0)
-	if got := gv.Value("127.0.0.1:8088"); got != 0 {
-		t.Fatalf("GaugeVec.Value after re-Set = %d, want 0", got)
-	}
-	if got := gv.Value("127.0.0.1:9999"); got != 0 {
-		t.Fatalf("GaugeVec.Value of unused labels = %d, want 0", got)
-	}
-	r.NewGaugeFunc("demo_ratio", "Computed at scrape.", func() float64 { return 0.25 })
 	fg := r.NewFloatGauge("demo_rate", "Pushed rate.")
 	fg.Set(12.5)
 	fg.Set(1234567.25)
@@ -91,7 +84,6 @@ func TestRegistryExposition(t *testing.T) {
 		"demo_results_total":           "counter",
 		"demo_in_flight":               "gauge",
 		"demo_replica_up":              "gauge",
-		"demo_ratio":                   "gauge",
 		"demo_rate":                    "gauge",
 		"demo_seconds":                 "histogram",
 		"demo_span_seconds":            "histogram",
@@ -111,7 +103,6 @@ func TestRegistryExposition(t *testing.T) {
 		"demo_in_flight 3",
 		`demo_replica_up{replica="127.0.0.1:8087"} 1`,
 		`demo_replica_up{replica="127.0.0.1:8088"} 0`,
-		"demo_ratio 0.25",
 		"demo_rate 1.23456725e+06",
 		`demo_seconds_bucket{le="0.01"} 1`,
 		`demo_seconds_bucket{le="0.1"} 2`,

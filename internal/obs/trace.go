@@ -94,14 +94,6 @@ func (s *Span) TraceID() string {
 	return s.at.traceID
 }
 
-// Name returns the span's stage name, or "" for a nil span.
-func (s *Span) Name() string {
-	if s == nil {
-		return ""
-	}
-	return s.name
-}
-
 // SpanID returns the span's ID, or "" for a nil span. Callers making
 // outbound hops put this in X-Parent-Span-Id so the remote process can
 // parent its root span under this one.

@@ -126,7 +126,7 @@ func TestNilSpanSafe(t *testing.T) {
 	sp.SetAttr("k", "v")
 	sp.End()
 	sp.End()
-	if sp.TraceID() != "" || sp.Name() != "" {
+	if sp.TraceID() != "" || sp.SpanID() != "" {
 		t.Error("nil span accessors must return empty strings")
 	}
 	if got := SpanFromContext(context.Background()); got != nil {

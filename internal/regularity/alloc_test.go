@@ -57,25 +57,3 @@ func TestScannerMatchesPackageAnalyze(t *testing.T) {
 		}
 	}
 }
-
-func TestScanReturnsCallerOwnedSlice(t *testing.T) {
-	l, err := layout.GenerateSRAMArray(4, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := Scan(l, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	saved := append([]Pattern(nil), a...)
-	// A second scan through the pooled scanner must not clobber the first
-	// result.
-	if _, err := Scan(l, 16); err != nil {
-		t.Fatal(err)
-	}
-	for i := range saved {
-		if a[i] != saved[i] {
-			t.Fatalf("Scan result mutated by a later scan at %d", i)
-		}
-	}
-}

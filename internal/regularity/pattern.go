@@ -158,20 +158,3 @@ func (s *Scanner) scan(l *layout.Layout, pitch int) ([]Pattern, error) {
 	s.pats = pats
 	return pats, nil
 }
-
-// Scan partitions the layout into pitch×pitch windows and returns the
-// canonical pattern of every window in row-major order. Windows beyond
-// the bounding box are not generated; partial windows at the right/top
-// edges are included (their clip region is still pitch-sized, so identical
-// partial content matches identically). It returns an error for a
-// non-positive pitch or an invalid layout. The returned slice is freshly
-// allocated and owned by the caller.
-func Scan(l *layout.Layout, pitch int) ([]Pattern, error) {
-	s := scannerPool.Get().(*Scanner)
-	defer scannerPool.Put(s)
-	pats, err := s.scan(l, pitch)
-	if err != nil {
-		return nil, err
-	}
-	return slices.Clone(pats), nil
-}

@@ -11,18 +11,18 @@ func TestScanValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Scan(l, 0); err == nil {
+	if _, err := NewScanner().scan(l, 0); err == nil {
 		t.Fatal("accepted zero pitch")
 	}
 	bad := &layout.Layout{Name: "b", Width: 0, Height: 1}
-	if _, err := Scan(bad, 10); err == nil {
+	if _, err := NewScanner().scan(bad, 10); err == nil {
 		t.Fatal("accepted invalid layout")
 	}
 }
 
 func TestScanWindowCount(t *testing.T) {
 	l := &layout.Layout{Name: "t", Width: 30, Height: 20, Transistors: 1}
-	pats, err := Scan(l, 10)
+	pats, err := NewScanner().scan(l, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +36,7 @@ func TestScanWindowCount(t *testing.T) {
 	}
 	// Partial edge windows are still scanned: 25×25 at pitch 10 → 3×3.
 	l = &layout.Layout{Name: "t2", Width: 25, Height: 25, Transistors: 1}
-	pats, err = Scan(l, 10)
+	pats, err = NewScanner().scan(l, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,11 +104,11 @@ func TestScanDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := Scan(l, 40)
+	a, err := NewScanner().scan(l, 40)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Scan(l, 40)
+	b, err := NewScanner().scan(l, 40)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,11 +133,11 @@ func TestTranslationInvariance(t *testing.T) {
 		return l
 	}
 	// Rect in window 0 at x=3 vs identical rect in window 5 at x=3.
-	a, err := Scan(mk(0), 20)
+	a, err := NewScanner().scan(mk(0), 20)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Scan(mk(100), 20)
+	b, err := NewScanner().scan(mk(100), 20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +150,7 @@ func TestBoundarySpanningClip(t *testing.T) {
 	// A rect spanning two windows contributes its clipped part to each.
 	l := &layout.Layout{Name: "span", Width: 40, Height: 20, Transistors: 1}
 	l.Rects = append(l.Rects, layout.Rect{X0: 15, Y0: 5, X1: 25, Y1: 9, Layer: layout.Metal1})
-	pats, err := Scan(l, 20)
+	pats, err := NewScanner().scan(l, 20)
 	if err != nil {
 		t.Fatal(err)
 	}

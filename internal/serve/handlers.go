@@ -406,43 +406,10 @@ type figurePayload struct {
 	ndjsonTag string // strong ETag over ndjson
 }
 
-// figurePayloadJSON is the snapshot wire form of figurePayload: exported
-// fields so the memo snapshot codec can round-trip it. Only the two byte
-// payloads travel — the ETags are recomputed on restore, so a corrupt or
-// hand-edited snapshot can never serve a tag that disagrees with its
-// bytes (If-None-Match would then 304 the wrong content).
-type figurePayloadJSON struct {
-	Body   []byte `json:"body"`
-	NDJSON []byte `json:"ndjson"`
-}
-
-func (p *figurePayload) MarshalJSON() ([]byte, error) {
-	return json.Marshal(figurePayloadJSON{Body: p.body, NDJSON: p.ndjson})
-}
-
-func (p *figurePayload) UnmarshalJSON(b []byte) error {
-	var w figurePayloadJSON
-	if err := json.Unmarshal(b, &w); err != nil {
-		return err
-	}
-	if len(w.Body) == 0 || len(w.NDJSON) == 0 {
-		return fmt.Errorf("figure snapshot entry is missing its payload bytes")
-	}
-	p.body = w.Body
-	p.ndjson = w.NDJSON
-	p.etag = strongETag(p.body)
-	p.ndjsonTag = strongETag(p.ndjson)
-	return nil
-}
-
 // figureCache memoizes regenerated paper figures keyed by (figure,
 // resolution). Figures are pure functions of the request, so the cache is
-// shared across requests and its hit rate shows up on /metrics. It is
-// also snapshot-enabled: figure payloads are deterministic bytes keyed by
-// plain strings, so a warm restart (-memo-snapshot) restores them intact.
+// shared across requests and its hit rate shows up on /metrics.
 var figureCache = memo.New[string, *figurePayload]("serve.figures", 16)
-
-func init() { memo.EnableSnapshot(figureCache) }
 
 // figureResponse is the wire shape of GET /v1/figures/{id}.
 type figureResponse struct {

@@ -2,7 +2,6 @@ package stats_test
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/stats"
 )
@@ -18,23 +17,6 @@ func ExampleMinimize() {
 	fmt.Printf("argmin ≈ %.4f\n", res.X)
 	// Output:
 	// argmin ≈ 3.0000
-}
-
-// Power-law regression in log–log space.
-func ExamplePowerRegression() {
-	xs := []float64{1, 2, 4, 8}
-	ys := make([]float64, len(xs))
-	for i, x := range xs {
-		ys[i] = 5 * math.Pow(x, 1.5)
-	}
-	fit, err := stats.PowerRegression(xs, ys)
-	if err != nil {
-		fmt.Println(err)
-		return
-	}
-	fmt.Printf("y = %.1f·x^%.1f\n", fit.Coeff, fit.Exponent)
-	// Output:
-	// y = 5.0·x^1.5
 }
 
 // The deterministic RNG behind every Monte Carlo in the repository.

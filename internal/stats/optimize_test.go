@@ -147,21 +147,3 @@ func TestIntegrateZeroWidth(t *testing.T) {
 		t.Fatalf("zero-width integral = %v, %v", v, err)
 	}
 }
-
-func TestTrapezoid(t *testing.T) {
-	xs := []float64{0, 1, 2, 3}
-	ys := []float64{0, 1, 2, 3}
-	v, err := Trapezoid(xs, ys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(v-4.5) > 1e-12 {
-		t.Fatalf("trapezoid = %v, want 4.5", v)
-	}
-	if _, err := Trapezoid([]float64{0, 0}, []float64{1, 2}); err == nil {
-		t.Fatal("accepted non-increasing x")
-	}
-	if _, err := Trapezoid([]float64{0}, []float64{1}); err == nil {
-		t.Fatal("accepted single point")
-	}
-}

@@ -59,24 +59,3 @@ func adaptiveSimpson(f func(float64) float64, a, b, fa, fb, m, fm, whole, tol fl
 	}
 	return lv + rv, nil
 }
-
-// Trapezoid integrates tabulated samples (xs ascending, same length as ys)
-// with the composite trapezoid rule. It returns an error for mismatched or
-// too-short inputs or non-increasing x.
-func Trapezoid(xs, ys []float64) (float64, error) {
-	if len(xs) != len(ys) {
-		return 0, errors.New("stats: Trapezoid sample length mismatch")
-	}
-	if len(xs) < 2 {
-		return 0, errors.New("stats: Trapezoid requires at least two points")
-	}
-	var sum float64
-	for i := 1; i < len(xs); i++ {
-		dx := xs[i] - xs[i-1]
-		if dx <= 0 {
-			return 0, errors.New("stats: Trapezoid requires strictly increasing x")
-		}
-		sum += dx * 0.5 * (ys[i] + ys[i-1])
-	}
-	return sum, nil
-}

@@ -1,9 +1,6 @@
 package stats
 
-import (
-	"errors"
-	"math"
-)
+import "errors"
 
 // LinearFit is the result of an ordinary-least-squares fit y = a + b·x.
 type LinearFit struct {
@@ -12,9 +9,6 @@ type LinearFit struct {
 	R2        float64 // coefficient of determination
 	N         int
 }
-
-// Predict evaluates the fitted line at x.
-func (f LinearFit) Predict(x float64) float64 { return f.Intercept + f.Slope*x }
 
 // LinearRegression fits y = a + b·x by ordinary least squares. It returns
 // an error when fewer than two points are supplied, the lengths differ, or
@@ -57,130 +51,3 @@ func LinearRegression(xs, ys []float64) (LinearFit, error) {
 	}
 	return LinearFit{Intercept: a, Slope: b, R2: r2, N: len(xs)}, nil
 }
-
-// PowerFit is the result of a power-law fit y = c·x^p, obtained by linear
-// regression in log–log space. Both samples must be strictly positive.
-type PowerFit struct {
-	Coeff    float64 // c
-	Exponent float64 // p
-	R2       float64 // in log–log space
-	N        int
-}
-
-// Predict evaluates the fitted power law at x.
-func (f PowerFit) Predict(x float64) float64 { return f.Coeff * math.Pow(x, f.Exponent) }
-
-// PowerRegression fits y = c·x^p. It returns an error for mismatched
-// lengths, fewer than two points, or non-positive values.
-func PowerRegression(xs, ys []float64) (PowerFit, error) {
-	if len(xs) != len(ys) {
-		return PowerFit{}, errors.New("stats: regression sample length mismatch")
-	}
-	lx := make([]float64, len(xs))
-	ly := make([]float64, len(ys))
-	for i := range xs {
-		if xs[i] <= 0 || ys[i] <= 0 {
-			return PowerFit{}, errors.New("stats: power regression requires positive values")
-		}
-		lx[i] = math.Log(xs[i])
-		ly[i] = math.Log(ys[i])
-	}
-	lin, err := LinearRegression(lx, ly)
-	if err != nil {
-		return PowerFit{}, err
-	}
-	return PowerFit{
-		Coeff:    math.Exp(lin.Intercept),
-		Exponent: lin.Slope,
-		R2:       lin.R2,
-		N:        lin.N,
-	}, nil
-}
-
-// ExpFit is the result of an exponential fit y = c·e^(k·x), obtained by
-// linear regression of log y on x. The y sample must be strictly positive.
-type ExpFit struct {
-	Coeff float64 // c
-	Rate  float64 // k
-	R2    float64 // in semi-log space
-	N     int
-}
-
-// Predict evaluates the fitted exponential at x.
-func (f ExpFit) Predict(x float64) float64 { return f.Coeff * math.Exp(f.Rate*x) }
-
-// ExpRegression fits y = c·e^(k·x). It returns an error for mismatched
-// lengths, fewer than two points, or non-positive y values.
-func ExpRegression(xs, ys []float64) (ExpFit, error) {
-	if len(xs) != len(ys) {
-		return ExpFit{}, errors.New("stats: regression sample length mismatch")
-	}
-	ly := make([]float64, len(ys))
-	for i := range ys {
-		if ys[i] <= 0 {
-			return ExpFit{}, errors.New("stats: exponential regression requires positive y")
-		}
-		ly[i] = math.Log(ys[i])
-	}
-	lin, err := LinearRegression(xs, ly)
-	if err != nil {
-		return ExpFit{}, err
-	}
-	return ExpFit{Coeff: math.Exp(lin.Intercept), Rate: lin.Slope, R2: lin.R2, N: lin.N}, nil
-}
-
-// Interpolator performs piecewise-linear interpolation over a table of
-// (x, y) knots sorted by ascending x. Outside the knot range it
-// extrapolates linearly from the terminal segment, which suits roadmap
-// tables where mild extrapolation beyond the published nodes is expected.
-type Interpolator struct {
-	xs, ys []float64
-}
-
-// NewInterpolator builds an interpolator from knots. It returns an error
-// when fewer than two knots are supplied or the x values are not strictly
-// increasing.
-func NewInterpolator(xs, ys []float64) (*Interpolator, error) {
-	if len(xs) != len(ys) {
-		return nil, errors.New("stats: interpolator knot length mismatch")
-	}
-	if len(xs) < 2 {
-		return nil, errors.New("stats: interpolator requires at least two knots")
-	}
-	for i := 1; i < len(xs); i++ {
-		if xs[i] <= xs[i-1] {
-			return nil, errors.New("stats: interpolator knots must be strictly increasing in x")
-		}
-	}
-	return &Interpolator{
-		xs: append([]float64(nil), xs...),
-		ys: append([]float64(nil), ys...),
-	}, nil
-}
-
-// At evaluates the interpolant at x.
-func (ip *Interpolator) At(x float64) float64 {
-	xs, ys := ip.xs, ip.ys
-	// Locate the segment by binary search; clamp to terminal segments for
-	// extrapolation.
-	lo, hi := 0, len(xs)-1
-	if x <= xs[0] {
-		lo, hi = 0, 1
-	} else if x >= xs[len(xs)-1] {
-		lo, hi = len(xs)-2, len(xs)-1
-	} else {
-		for hi-lo > 1 {
-			mid := (lo + hi) / 2
-			if xs[mid] <= x {
-				lo = mid
-			} else {
-				hi = mid
-			}
-		}
-	}
-	t := (x - xs[lo]) / (xs[hi] - xs[lo])
-	return ys[lo] + t*(ys[hi]-ys[lo])
-}
-
-// Domain returns the x range covered by the knots.
-func (ip *Interpolator) Domain() (lo, hi float64) { return ip.xs[0], ip.xs[len(ip.xs)-1] }

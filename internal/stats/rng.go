@@ -215,22 +215,6 @@ func (r *RNG) Perm(n int) []int {
 	return p
 }
 
-// Split derives a decorrelated generator from r's stream by reseeding a
-// fresh generator (via SplitMix64) from r's next output.
-//
-// Guarantees: the child is fully determined by r's state, so Split is
-// reproducible; the SplitMix64 expansion makes the child's state
-// well-mixed even though it derives from a single 64-bit draw. What Split
-// does NOT guarantee is stream disjointness — two children could in
-// principle land on overlapping segments of the xoshiro256** cycle,
-// with probability ~k²·L/2²⁵⁶ for k children each consuming L values
-// (astronomically small, but not structural). Callers that need a hard
-// non-overlap guarantee — per-chunk streams in the parallel Monte Carlo
-// engine — should use SplitN, which walks the cycle with Jump instead.
-func (r *RNG) Split() *RNG {
-	return NewRNG(r.Uint64())
-}
-
 // jumpPoly is the xoshiro256** jump polynomial: applying it advances the
 // generator by exactly 2^128 steps of the underlying cycle.
 var jumpPoly = [4]uint64{0x180ec6d33cfd0aba, 0xd5a61266f0c9392c, 0xa9582618e03fc9aa, 0x39abdc4529b1661c}
@@ -261,8 +245,8 @@ func (r *RNG) Jump() {
 // r after i jumps, so the layout depends only on r's state and k — the
 // deterministic sub-stream construction the parallel engine and the
 // sharded Monte Carlo job engine use to make results bit-identical across
-// worker and shard counts. Unlike Split, the returned streams are
-// guaranteed non-overlapping provided each draws fewer than 2^128 values.
+// worker and shard counts. The returned streams are guaranteed
+// non-overlapping provided each draws fewer than 2^128 values.
 //
 // Boundary behavior is explicit for the sharding path: k == 0 returns nil
 // and leaves r untouched (a resumed run with no pending shards needs no
@@ -289,8 +273,8 @@ func (r *RNG) SplitN(k int) []*RNG {
 // row index, chunk number, …) into a new seed via SplitMix64 steps, for
 // keyed sub-streams where the stream count is not known up front. The
 // mixing is deterministic and avalanching, so adjacent ids give unrelated
-// seeds; disjointness of the resulting generators is probabilistic (as
-// with Split), which is ample for the statistical workloads here.
+// seeds; disjointness of the resulting generators is probabilistic, which
+// is ample for the statistical workloads here.
 func StreamSeed(seed uint64, ids ...uint64) uint64 {
 	z := seed
 	mix := func(v uint64) {

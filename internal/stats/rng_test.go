@@ -170,20 +170,6 @@ func TestPermIsPermutation(t *testing.T) {
 	}
 }
 
-func TestSplitDecorrelates(t *testing.T) {
-	r := NewRNG(31)
-	s := r.Split()
-	same := 0
-	for i := 0; i < 100; i++ {
-		if r.Uint64() == s.Uint64() {
-			same++
-		}
-	}
-	if same > 2 {
-		t.Fatalf("split stream correlated: %d/100 identical draws", same)
-	}
-}
-
 // Property: Range always lands inside [lo, hi) for lo < hi.
 func TestRangeProperty(t *testing.T) {
 	r := NewRNG(37)
@@ -364,10 +350,6 @@ func TestSplitStreamsStatisticallyIndependent(t *testing.T) {
 	const tol = 0.035
 	derive := map[string]func() []*RNG{
 		"SplitN": func() []*RNG { return NewRNG(2024).SplitN(4) },
-		"Split": func() []*RNG {
-			r := NewRNG(2024)
-			return []*RNG{r.Split(), r.Split(), r.Split(), r.Split()}
-		},
 		"StreamSeed": func() []*RNG {
 			out := make([]*RNG, 4)
 			for i := range out {

@@ -102,50 +102,3 @@ func MeanStderr(xs []float64) (mean, stderr float64, err error) {
 	}
 	return s.Mean, stderr, nil
 }
-
-// GeoMean returns the geometric mean of a sample of positive values. It
-// returns ErrEmpty for an empty sample and an error when any value is not
-// strictly positive.
-func GeoMean(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	var logSum float64
-	for _, x := range xs {
-		if x <= 0 {
-			return 0, errors.New("stats: GeoMean requires positive values")
-		}
-		logSum += math.Log(x)
-	}
-	return math.Exp(logSum / float64(len(xs))), nil
-}
-
-// Pearson returns the Pearson correlation coefficient of two equal-length
-// samples. It returns an error when the lengths differ, when fewer than two
-// points are supplied, or when either sample has zero variance.
-func Pearson(xs, ys []float64) (float64, error) {
-	if len(xs) != len(ys) {
-		return 0, errors.New("stats: Pearson sample length mismatch")
-	}
-	if len(xs) < 2 {
-		return 0, errors.New("stats: Pearson requires at least two points")
-	}
-	n := float64(len(xs))
-	var sx, sy float64
-	for i := range xs {
-		sx += xs[i]
-		sy += ys[i]
-	}
-	mx, my := sx/n, sy/n
-	var sxx, syy, sxy float64
-	for i := range xs {
-		dx, dy := xs[i]-mx, ys[i]-my
-		sxx += dx * dx
-		syy += dy * dy
-		sxy += dx * dy
-	}
-	if sxx == 0 || syy == 0 {
-		return 0, errors.New("stats: Pearson undefined for zero-variance sample")
-	}
-	return sxy / math.Sqrt(sxx*syy), nil
-}

@@ -82,48 +82,6 @@ func TestMeanStderr(t *testing.T) {
 	}
 }
 
-func TestGeoMean(t *testing.T) {
-	g, err := GeoMean([]float64{1, 10, 100})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEqual(g, 10, 1e-9) {
-		t.Fatalf("GeoMean = %v, want 10", g)
-	}
-	if _, err := GeoMean([]float64{1, 0}); err == nil {
-		t.Fatal("GeoMean accepted zero value")
-	}
-	if _, err := GeoMean(nil); err != ErrEmpty {
-		t.Fatalf("err = %v, want ErrEmpty", err)
-	}
-}
-
-func TestPearson(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5}
-	ys := []float64{2, 4, 6, 8, 10}
-	r, err := Pearson(xs, ys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEqual(r, 1, 1e-12) {
-		t.Fatalf("perfect correlation = %v, want 1", r)
-	}
-	neg := []float64{10, 8, 6, 4, 2}
-	r, err = Pearson(xs, neg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEqual(r, -1, 1e-12) {
-		t.Fatalf("perfect anticorrelation = %v, want -1", r)
-	}
-	if _, err := Pearson(xs, []float64{1, 1, 1, 1, 1}); err == nil {
-		t.Fatal("Pearson accepted zero-variance sample")
-	}
-	if _, err := Pearson(xs, xs[:3]); err == nil {
-		t.Fatal("Pearson accepted mismatched lengths")
-	}
-}
-
 // Property: min <= median <= max and min <= mean <= max for any non-empty
 // sample of finite values.
 func TestSummaryOrderingProperty(t *testing.T) {

@@ -40,12 +40,6 @@ func (w Wafer) Validate() error {
 // UsableRadiusMM returns the radius of the region die may occupy.
 func (w Wafer) UsableRadiusMM() float64 { return w.DiameterMM/2 - w.EdgeExclusionMM }
 
-// AreaCM2 returns the full wafer area in cm².
-func (w Wafer) AreaCM2() float64 {
-	r := w.DiameterMM / 20 // mm → cm
-	return math.Pi * r * r
-}
-
 // UsableAreaCM2 returns the area inside the edge exclusion in cm².
 func (w Wafer) UsableAreaCM2() float64 {
 	r := w.UsableRadiusMM() / 10

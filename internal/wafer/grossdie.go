@@ -125,23 +125,3 @@ func GrossDieApprox(w Wafer, d Die, a Approximation) (int, error) {
 	}
 	return int(n), nil
 }
-
-// DiePerWafer is a convenience wrapper: exact gross die for a square die of
-// the given area (cm²) on the given wafer, the call sites in the cost
-// studies use.
-func DiePerWafer(w Wafer, dieAreaCM2 float64) (int, error) {
-	if dieAreaCM2 <= 0 {
-		return 0, fmt.Errorf("wafer: die area must be positive, got %v cm²", dieAreaCM2)
-	}
-	return GrossDie(w, SquareDie(dieAreaCM2))
-}
-
-// Utilization returns the fraction of the usable wafer area covered by
-// whole die (excluding scribe), a measure of placement efficiency.
-func Utilization(w Wafer, d Die) (float64, error) {
-	n, err := GrossDie(w, d)
-	if err != nil {
-		return 0, err
-	}
-	return float64(n) * d.AreaCM2() / w.UsableAreaCM2(), nil
-}

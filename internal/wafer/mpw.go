@@ -5,57 +5,6 @@ import (
 	"math"
 )
 
-// AspectStudy finds the die aspect ratio that maximizes gross die for a
-// fixed die area: tall-thin and short-wide rectangles waste different
-// amounts of the wafer rim. It scans width/height ratios in
-// [1/maxRatio, maxRatio] and returns the best.
-type AspectStudy struct {
-	BestRatio float64 // width/height of the winning rectangle
-	BestCount int
-	Square    int // gross die of the square die, for comparison
-}
-
-// OptimizeAspect scans nRatios aspect ratios for a die of areaCM2 on w.
-// maxRatio bounds the scan (realistic die stay under ~2.5:1).
-func OptimizeAspect(w Wafer, areaCM2, maxRatio float64, nRatios int) (AspectStudy, error) {
-	if areaCM2 <= 0 {
-		return AspectStudy{}, fmt.Errorf("wafer: die area must be positive, got %v", areaCM2)
-	}
-	if maxRatio < 1 {
-		return AspectStudy{}, fmt.Errorf("wafer: max aspect ratio must be >= 1, got %v", maxRatio)
-	}
-	if nRatios < 1 {
-		return AspectStudy{}, fmt.Errorf("wafer: need at least one ratio, got %d", nRatios)
-	}
-	var study AspectStudy
-	sq, err := GrossDie(w, SquareDie(areaCM2))
-	if err != nil {
-		return AspectStudy{}, err
-	}
-	study.Square = sq
-	study.BestCount = -1
-	areaMM2 := areaCM2 * 100
-	for i := 0; i < nRatios; i++ {
-		// Log-spaced ratios in [1/maxRatio, maxRatio].
-		t := 0.0
-		if nRatios > 1 {
-			t = float64(i) / float64(nRatios-1)
-		}
-		ratio := math.Exp((2*t - 1) * math.Log(maxRatio))
-		width := math.Sqrt(areaMM2 * ratio)
-		height := areaMM2 / width
-		n, err := GrossDie(w, Die{WidthMM: width, HeightMM: height, ScribeMM: 0.1})
-		if err != nil {
-			return AspectStudy{}, err
-		}
-		if n > study.BestCount {
-			study.BestCount = n
-			study.BestRatio = ratio
-		}
-	}
-	return study, nil
-}
-
 // MPWConfig describes a multi-project wafer run: several projects share
 // one mask set and one wafer lot, the standard escape hatch from the
 // eq (5) NRE squeeze for prototypes and very low volume.

@@ -5,33 +5,6 @@ import (
 	"testing"
 )
 
-func TestOptimizeAspectBeatsOrMatchesSquare(t *testing.T) {
-	for _, area := range []float64{0.5, 1.0, 2.0} {
-		st, err := OptimizeAspect(Wafer200, area, 2.5, 21)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st.BestCount < st.Square {
-			t.Fatalf("area %v: best aspect %d below square %d", area, st.BestCount, st.Square)
-		}
-		if st.BestRatio < 1/2.5-1e-9 || st.BestRatio > 2.5+1e-9 {
-			t.Fatalf("best ratio %v outside scan range", st.BestRatio)
-		}
-	}
-}
-
-func TestOptimizeAspectValidation(t *testing.T) {
-	if _, err := OptimizeAspect(Wafer200, 0, 2, 5); err == nil {
-		t.Fatal("accepted zero area")
-	}
-	if _, err := OptimizeAspect(Wafer200, 1, 0.5, 5); err == nil {
-		t.Fatal("accepted max ratio < 1")
-	}
-	if _, err := OptimizeAspect(Wafer200, 1, 2, 0); err == nil {
-		t.Fatal("accepted zero ratios")
-	}
-}
-
 func mpwConfig() MPWConfig {
 	return MPWConfig{
 		Projects:    10,

@@ -23,11 +23,7 @@ func TestWaferValidate(t *testing.T) {
 }
 
 func TestWaferAreas(t *testing.T) {
-	// 200 mm wafer: r = 10 cm → area = 100π ≈ 314.16 cm².
-	if got := Wafer200.AreaCM2(); math.Abs(got-math.Pi*100) > 1e-9 {
-		t.Fatalf("area = %v, want %v", got, math.Pi*100)
-	}
-	// Usable: r = 9.7 cm.
+	// 200 mm wafer, 3 mm edge exclusion: usable r = 9.7 cm.
 	want := math.Pi * 9.7 * 9.7
 	if got := Wafer200.UsableAreaCM2(); math.Abs(got-want) > 1e-9 {
 		t.Fatalf("usable area = %v, want %v", got, want)
@@ -182,7 +178,7 @@ func TestApproximationString(t *testing.T) {
 }
 
 func TestDiePerWafer(t *testing.T) {
-	n, err := DiePerWafer(Wafer200, 1.0)
+	n, err := GrossDie(Wafer200, SquareDie(1.0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,18 +186,8 @@ func TestDiePerWafer(t *testing.T) {
 	if n < 200 || n > 300 {
 		t.Fatalf("1 cm² die on 200 mm wafer = %d, want 200–300", n)
 	}
-	if _, err := DiePerWafer(Wafer200, 0); err == nil {
+	if _, err := GrossDie(Wafer200, SquareDie(0)); err == nil {
 		t.Fatal("accepted zero die area")
-	}
-}
-
-func TestUtilizationBounds(t *testing.T) {
-	u, err := Utilization(Wafer200, SquareDie(1.0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if u <= 0.5 || u >= 1 {
-		t.Fatalf("utilization = %v, want (0.5, 1)", u)
 	}
 }
 

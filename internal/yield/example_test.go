@@ -21,24 +21,6 @@ func ExampleModel() {
 	// negbinomial(α=2)  0.4444
 }
 
-// A multi-layer process stack with a systematic yield multiplier.
-func ExampleStack_Yield() {
-	stack, err := yield.UniformStack(4, 0.3, 0.5, nil)
-	if err != nil {
-		fmt.Println(err)
-		return
-	}
-	stack.Systematic = 0.95
-	y, err := stack.Yield(1.0) // 1 cm² die
-	if err != nil {
-		fmt.Println(err)
-		return
-	}
-	fmt.Printf("composite yield = %.4f\n", y)
-	// Output:
-	// composite yield = 0.5214
-}
-
 // Monte Carlo measurement against the matching analytic model.
 func ExampleSimulate() {
 	res, err := yield.Simulate(yield.SimConfig{

@@ -106,8 +106,7 @@ func (m NegBinomial) Name() string { return fmt.Sprintf("negbinomial(α=%g)", m.
 
 // MurphyByIntegral evaluates Murphy's model from first principles by
 // integrating the Poisson yield over the triangular defect-density
-// distribution on [0, 2λ]. It exists to validate the closed form and to
-// support arbitrary mixing distributions via MixedYield.
+// distribution on [0, 2λ]. It exists to validate the closed form.
 func MurphyByIntegral(lambda float64) (float64, error) {
 	if lambda < 0 {
 		return 0, fmt.Errorf("yield: lambda must be non-negative, got %v", lambda)
@@ -132,28 +131,6 @@ func MurphyByIntegral(lambda float64) (float64, error) {
 	return up + down, nil
 }
 
-// MixedYield integrates the Poisson yield over an arbitrary defect-rate
-// density f supported on [lo, hi]: Y = ∫ e^{−x} f(x) dx. The density need
-// not be normalized exactly; the result is divided by ∫ f to compensate
-// for numeric truncation of the support.
-func MixedYield(f func(float64) float64, lo, hi float64) (float64, error) {
-	if !(lo >= 0 && lo < hi) {
-		return 0, fmt.Errorf("yield: MixedYield requires 0 <= lo < hi, got [%v, %v]", lo, hi)
-	}
-	num, err := stats.Integrate(func(x float64) float64 { return math.Exp(-x) * f(x) }, lo, hi, 1e-11)
-	if err != nil {
-		return 0, err
-	}
-	den, err := stats.Integrate(f, lo, hi, 1e-11)
-	if err != nil {
-		return 0, err
-	}
-	if den <= 0 {
-		return 0, fmt.Errorf("yield: MixedYield density integrates to %v", den)
-	}
-	return num / den, nil
-}
-
 // Lambda returns the mean fatal defect count for a die of areaCM2 under
 // defect density d0 (defects per cm²). It returns an error for negative
 // inputs.
@@ -165,24 +142,4 @@ func Lambda(d0, areaCM2 float64) (float64, error) {
 		return 0, fmt.Errorf("yield: area must be non-negative, got %v", areaCM2)
 	}
 	return d0 * areaCM2, nil
-}
-
-// InvertLambda finds the λ at which model m produces the target yield,
-// searching [0, hi]. It returns an error when the target is outside (0, 1]
-// or unreachable on the interval. Cost studies use it to ask "what defect
-// budget keeps yield at Y?".
-func InvertLambda(m Model, target, hi float64) (float64, error) {
-	if !(target > 0 && target <= 1) {
-		return 0, fmt.Errorf("yield: target yield must be in (0,1], got %v", target)
-	}
-	if target == 1 {
-		return 0, nil
-	}
-	if hi <= 0 {
-		return 0, fmt.Errorf("yield: search bound must be positive, got %v", hi)
-	}
-	if m.Yield(hi) > target {
-		return 0, fmt.Errorf("yield: target %v unreachable below λ = %v for %s", target, hi, m.Name())
-	}
-	return stats.Bisect(func(l float64) float64 { return m.Yield(l) - target }, 0, hi, 1e-12)
 }

@@ -94,28 +94,6 @@ func TestNegBinomialPanicsOnBadAlpha(t *testing.T) {
 	NegBinomial{}.Yield(1)
 }
 
-func TestMixedYieldUniform(t *testing.T) {
-	// Uniform mixing density on [0, 2λ] gives Y = (1−e^{−2λ})/(2λ).
-	l := 1.5
-	got, err := MixedYield(func(x float64) float64 { return 1 }, 0, 2*l)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := (1 - math.Exp(-2*l)) / (2 * l)
-	if !almost(got, want, 1e-9) {
-		t.Fatalf("uniform mixed yield = %v, want %v", got, want)
-	}
-}
-
-func TestMixedYieldValidation(t *testing.T) {
-	if _, err := MixedYield(func(x float64) float64 { return 1 }, -1, 1); err == nil {
-		t.Fatal("accepted negative support")
-	}
-	if _, err := MixedYield(func(x float64) float64 { return 0 }, 0, 1); err == nil {
-		t.Fatal("accepted zero density")
-	}
-}
-
 func TestLambda(t *testing.T) {
 	l, err := Lambda(0.5, 2)
 	if err != nil || l != 1 {
@@ -126,28 +104,6 @@ func TestLambda(t *testing.T) {
 	}
 	if _, err := Lambda(1, -2); err == nil {
 		t.Fatal("accepted negative area")
-	}
-}
-
-func TestInvertLambda(t *testing.T) {
-	for _, m := range []Model{Poisson{}, Murphy{}, Seeds{}, NegBinomial{Alpha: 2}} {
-		target := 0.8
-		l, err := InvertLambda(m, target, 100)
-		if err != nil {
-			t.Fatalf("%s: %v", m.Name(), err)
-		}
-		if !almost(m.Yield(l), target, 1e-9) {
-			t.Errorf("%s: Yield(%v) = %v, want %v", m.Name(), l, m.Yield(l), target)
-		}
-	}
-	if l, err := InvertLambda(Poisson{}, 1, 100); err != nil || l != 0 {
-		t.Fatalf("InvertLambda(target=1) = %v, %v", l, err)
-	}
-	if _, err := InvertLambda(Poisson{}, 0, 100); err == nil {
-		t.Fatal("accepted target 0")
-	}
-	if _, err := InvertLambda(Poisson{}, 1e-30, 1); err == nil {
-		t.Fatal("accepted unreachable target")
 	}
 }
 

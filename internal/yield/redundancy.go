@@ -50,38 +50,6 @@ func (r Redundancy) Yield(lambda float64) (float64, error) {
 	return sum, nil
 }
 
-// YieldNB returns the repairable yield under negative-binomial
-// (gamma-mixed) defect statistics with clustering alpha:
-//
-//	Y = Σ_{k=0}^{S} C(α+k−1, k) · (λ/(λ+α))^k · (α/(λ+α))^α
-//
-// evaluated by the stable multiplicative recurrence.
-func (r Redundancy) YieldNB(lambda, alpha float64) (float64, error) {
-	if err := r.Validate(); err != nil {
-		return 0, err
-	}
-	if lambda < 0 {
-		return 0, fmt.Errorf("yield: redundancy: lambda must be non-negative, got %v", lambda)
-	}
-	if alpha <= 0 {
-		return 0, fmt.Errorf("yield: redundancy: alpha must be positive, got %v", alpha)
-	}
-	if lambda == 0 {
-		return 1, nil
-	}
-	p := lambda / (lambda + alpha)
-	term := math.Pow(alpha/(lambda+alpha), alpha) // k = 0
-	sum := term
-	for k := 1; k <= r.Spares; k++ {
-		term *= (alpha + float64(k) - 1) / float64(k) * p
-		sum += term
-	}
-	if sum > 1 {
-		sum = 1
-	}
-	return sum, nil
-}
-
 // SparesForYield returns the smallest spare count that reaches the target
 // yield at the given lambda under Poisson statistics. It returns an error
 // for targets outside (0, 1) or when more than maxSpares would be needed.

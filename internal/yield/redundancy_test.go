@@ -63,41 +63,6 @@ func TestRedundancyEdgeCases(t *testing.T) {
 	}
 }
 
-func TestRedundancyNB(t *testing.T) {
-	// Zero spares recovers the NB model.
-	for _, l := range []float64{0.5, 2} {
-		y, err := (Redundancy{}).YieldNB(l, 1.5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !almost(y, NegBinomial{Alpha: 1.5}.Yield(l), 1e-12) {
-			t.Fatalf("λ=%v: NB zero-spare %v != model %v", l, y, NegBinomial{Alpha: 1.5}.Yield(l))
-		}
-	}
-	// Monotone in spares and bounded.
-	prev := 0.0
-	for s := 0; s <= 8; s++ {
-		y, err := (Redundancy{Spares: s}).YieldNB(2, 0.8)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if y <= prev || y > 1 {
-			t.Fatalf("NB repair yield out of order at %d spares: %v", s, y)
-		}
-		prev = y
-	}
-	if _, err := (Redundancy{}).YieldNB(1, 0); err == nil {
-		t.Fatal("accepted zero alpha")
-	}
-	if _, err := (Redundancy{}).YieldNB(-1, 1); err == nil {
-		t.Fatal("accepted negative lambda")
-	}
-	y, err := (Redundancy{Spares: 3}).YieldNB(0, 1)
-	if err != nil || y != 1 {
-		t.Fatalf("λ=0 NB yield = %v, %v", y, err)
-	}
-}
-
 func TestSparesForYield(t *testing.T) {
 	s, err := SparesForYield(3, 0.9, 100)
 	if err != nil {

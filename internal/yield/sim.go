@@ -150,38 +150,3 @@ func Simulate(c SimConfig) (SimResult, error) {
 	}
 	return res, nil
 }
-
-// CompareModels runs the simulator at each lambda and returns, for each
-// analytic model, the maximum absolute deviation between the model and the
-// measurement. Experiment X-2 prints these rows; tests assert that the
-// matching model (Poisson for unclustered, NegBinomial(α) for clustered)
-// tracks the simulation within sampling error.
-func CompareModels(lambdas []float64, models []Model, base SimConfig) (map[string][]float64, error) {
-	if len(lambdas) == 0 {
-		return nil, fmt.Errorf("yield: CompareModels requires at least one lambda")
-	}
-	if len(models) == 0 {
-		return nil, fmt.Errorf("yield: CompareModels requires at least one model")
-	}
-	out := make(map[string][]float64, len(models)+1)
-	measured := make([]float64, len(lambdas))
-	for i, l := range lambdas {
-		cfg := base
-		cfg.Lambda = l
-		cfg.Seed = base.Seed + uint64(i)*1000003
-		res, err := Simulate(cfg)
-		if err != nil {
-			return nil, err
-		}
-		measured[i] = res.Yield
-	}
-	out["measured"] = measured
-	for _, m := range models {
-		ys := make([]float64, len(lambdas))
-		for i, l := range lambdas {
-			ys[i] = m.Yield(l)
-		}
-		out[m.Name()] = ys
-	}
-	return out, nil
-}

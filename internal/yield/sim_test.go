@@ -199,34 +199,6 @@ func TestSimulateValidation(t *testing.T) {
 	}
 }
 
-func TestCompareModels(t *testing.T) {
-	lambdas := []float64{0.2, 0.6, 1.2}
-	out, err := CompareModels(lambdas, []Model{Poisson{}, Seeds{}},
-		SimConfig{DiePerWafer: 200, Wafers: 100, Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, key := range []string{"measured", "poisson", "seeds"} {
-		if len(out[key]) != len(lambdas) {
-			t.Fatalf("series %q has %d points, want %d", key, len(out[key]), len(lambdas))
-		}
-	}
-	// Unclustered measurement should track Poisson better than Seeds at
-	// the largest lambda.
-	i := len(lambdas) - 1
-	dP := math.Abs(out["measured"][i] - out["poisson"][i])
-	dS := math.Abs(out["measured"][i] - out["seeds"][i])
-	if dP >= dS {
-		t.Fatalf("measured tracks seeds (%v) better than poisson (%v) without clustering", dS, dP)
-	}
-	if _, err := CompareModels(nil, []Model{Poisson{}}, SimConfig{DiePerWafer: 1, Wafers: 1}); err == nil {
-		t.Fatal("accepted empty lambda list")
-	}
-	if _, err := CompareModels(lambdas, nil, SimConfig{DiePerWafer: 1, Wafers: 1}); err == nil {
-		t.Fatal("accepted empty model list")
-	}
-}
-
 func TestSimulateDeterministicAcrossWorkers(t *testing.T) {
 	c := SimConfig{
 		DiePerWafer: 150, Wafers: 40, Lambda: 0.9,
