@@ -428,6 +428,31 @@ func BenchmarkCriticalArea(b *testing.B) {
 	}
 }
 
+// BenchmarkCritAreaAverage times the critical-area fill that
+// experiments' avgCriticalFraction runs for X-10: build one CritEvaluator
+// for the layer, then integrate its Area kernel against the defect-size
+// density. BenchmarkCriticalArea above times layout.CriticalArea, the
+// test reference for this path.
+func BenchmarkCritAreaAverage(b *testing.B) {
+	l, err := layout.GenerateRandomLogic(layout.RandomLogicConfig{
+		Cells: 200, RowUtil: 0.7, RouteTracks: 4, Seed: 3,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	dist := yield.DefectSizeDist{X0: 2, P: 3}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ev, err := layout.NewCritEvaluator(l, layout.Metal1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := yield.AverageCriticalArea(dist, ev.Area, 200); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // Serial-vs-parallel pairs for the hot paths wired into the
 // internal/parallel engine. Each parallel variant first asserts
 // bit-identical output against the serial baseline (determinism is

@@ -87,6 +87,7 @@ var defaultPinned = []string{
 	"BenchmarkRegularity",
 	"BenchmarkRegularityScan",
 	"BenchmarkCriticalArea",
+	"BenchmarkCritAreaAverage",
 	"BenchmarkWaferMap",
 	"BenchmarkMonteCarloYield",
 	"BenchmarkEvalBatch1024",

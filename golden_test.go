@@ -41,6 +41,10 @@ func TestGolden(t *testing.T) {
 		}},
 		{"fig4a", func() (any, error) { return figure4Golden(0) }},
 		{"fig4b", func() (any, error) { return figure4Golden(1) }},
+		{"x3", func() (any, error) {
+			res, _, err := experiments.UtilizationCrossover(0.4, 10, 1e6, 32)
+			return res, err
+		}},
 		{"x18", func() (any, error) {
 			rows, _, err := experiments.MPUvsDRAM()
 			return rows, err

@@ -6,18 +6,19 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
-	"sync"
 )
 
 // checkpointVersion gates the on-disk layout; a bump invalidates old
-// directories instead of misreading them.
-const checkpointVersion = 1
+// directories instead of misreading them. Version 2 is the one job log:
+// shards ride on their checkpoint_flushed lines among the other events.
+const checkpointVersion = 2
 
 // ErrCheckpointMismatch reports a checkpoint directory written by a
-// different job spec: resuming it would merge tallies drawn from other
-// streams, so the run refuses instead.
+// different job spec (or an older layout): resuming it would merge
+// tallies drawn from other streams, so the run refuses instead.
 var ErrCheckpointMismatch = errors.New("mcjob: checkpoint belongs to a different job spec")
 
 // manifest pins everything that determines the draw streams and chunk
@@ -33,49 +34,29 @@ type manifest struct {
 	SpecHash    string `json:"spec_hash,omitempty"`
 }
 
-// shardRecord is one line of the append-only shard log: a completed
-// shard's index and its per-chunk partials in chunk order.
-type shardRecord struct {
-	Shard  int       `json:"shard"`
-	Chunks []Partial `json:"chunks"`
-}
-
-// checkpoint is the on-disk state of a run: MANIFEST.json (written once,
-// atomically via tmp+rename, with the directory fsynced after the rename
-// so the manifest's directory entry survives a crash) plus shards.ndjson,
-// an append-only log with one shardRecord per completed shard, fsynced
-// per append so a crash loses at most the shard being written — and a
-// torn final line is skipped on load, never trusted.
-type checkpoint struct {
-	mu  sync.Mutex
-	f   *os.File
-	buf []byte
-	// skippedRecords counts shard-log lines dropped during replay
-	// (torn, malformed, oversized, or inconsistent with the plan); the
-	// run reports it so silently rerun shards leave a signal.
-	skippedRecords int
-}
-
-// maxShardRecordBytes bounds one replayed shard-log line. A line past the
-// cap is skipped and counted — the following lines still replay, unlike
-// the bufio.Scanner ErrTooLong behavior this replaced, which silently
-// stopped the scan and dropped every later shard. A var so the oversize
-// path is testable without writing a quarter-gigabyte fixture.
-var maxShardRecordBytes = 256 << 20
+// maxLogLineBytes bounds one replayed job-log line. A line past the cap
+// is skipped and counted — the following lines still replay, unlike the
+// bufio.Scanner ErrTooLong behavior this replaced, which silently stopped
+// the scan and dropped every later shard. A var so the oversize path is
+// testable without writing a quarter-gigabyte fixture.
+var maxLogLineBytes = 256 << 20
 
 const (
 	manifestName = "MANIFEST.json"
 	shardLogName = "shards.ndjson"
 )
 
-// openCheckpoint creates or resumes the checkpoint directory: the
-// manifest is verified (or written on first open), the shard log is
-// replayed into a shard→partials map, and the log is reopened for
-// appending. Records that are torn, malformed, out of range or
-// inconsistent with the plan are dropped — those shards simply rerun.
-func openCheckpoint(dir string, m manifest, p plan) (*checkpoint, map[int][]Partial, error) {
+// open makes dir the run's checkpoint and attaches its job log to e. The
+// directory holds MANIFEST.json, written once atomically (tmp+rename,
+// then a directory fsync so the entry survives a crash) and verified on
+// every later open, and shards.ndjson, the append-only job log: one Event
+// per line, of which only a shard's checkpoint_flushed line is fsynced
+// (flushShard), making every line before it durable too. The log is
+// replayed into e and reopened for appending; it returns the restored
+// shards and how many bad lines replay skipped.
+func (e *EventLog) open(dir string, m manifest, p plan) (map[int][]Partial, int, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, nil, fmt.Errorf("mcjob: checkpoint dir: %w", err)
+		return nil, 0, fmt.Errorf("mcjob: checkpoint dir: %w", err)
 	}
 	mPath := filepath.Join(dir, manifestName)
 	existing, err := os.ReadFile(mPath)
@@ -83,68 +64,68 @@ func openCheckpoint(dir string, m manifest, p plan) (*checkpoint, map[int][]Part
 	case err == nil:
 		var got manifest
 		if jsonErr := json.Unmarshal(existing, &got); jsonErr != nil || got != m {
-			return nil, nil, fmt.Errorf("%w: %s holds %s, this run needs %s",
+			return nil, 0, fmt.Errorf("%w: %s holds %s, this run needs %s",
 				ErrCheckpointMismatch, mPath, describeManifest(existing, got), describeManifest(nil, m))
 		}
 	case os.IsNotExist(err):
 		if err := writeFileAtomic(mPath, mustJSON(m)); err != nil {
-			return nil, nil, fmt.Errorf("mcjob: write manifest: %w", err)
+			return nil, 0, fmt.Errorf("mcjob: write manifest: %w", err)
 		}
 	default:
-		return nil, nil, fmt.Errorf("mcjob: read manifest: %w", err)
+		return nil, 0, fmt.Errorf("mcjob: read manifest: %w", err)
 	}
 
-	restored := map[int][]Partial{}
-	skipped := 0
-	logPath := filepath.Join(dir, shardLogName)
-	if rf, err := os.Open(logPath); err == nil {
-		var replayErr error
-		restored, skipped, replayErr = replayShardLog(rf, p)
-		rf.Close()
-		if replayErr != nil {
-			return nil, nil, fmt.Errorf("mcjob: read shard log: %w", replayErr)
-		}
-	} else if !os.IsNotExist(err) {
-		return nil, nil, fmt.Errorf("mcjob: open shard log: %w", err)
-	}
-
-	f, err := os.OpenFile(logPath, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
+	f, err := os.OpenFile(filepath.Join(dir, shardLogName), os.O_RDWR|os.O_APPEND|os.O_CREATE, 0o644)
 	if err != nil {
-		return nil, nil, fmt.Errorf("mcjob: append shard log: %w", err)
+		return nil, 0, fmt.Errorf("mcjob: open job log: %w", err)
 	}
-	// The log file may have just been created: without a directory sync
-	// its entry is not durable, and a crash after acknowledged shard
-	// appends could lose the whole file (the appends were fsynced into a
-	// file no directory references). One sync on open covers every later
-	// append.
-	if err := syncDir(dir); err != nil {
+	restored, skipped, valid, err := e.replay(f, p)
+	if err == nil {
+		// Cut a torn last line (a crash mid-write) off, so the next line
+		// starts on a line of its own instead of being read with it.
+		err = f.Truncate(valid)
+	}
+	if err == nil {
+		// The log file may have just been created: without a directory sync
+		// its entry is not durable, and a crash could lose the whole file
+		// along with its fsynced shards. One sync on open covers every
+		// later append.
+		err = syncDir(dir)
+	}
+	if err != nil {
 		f.Close()
-		return nil, nil, fmt.Errorf("mcjob: sync checkpoint dir: %w", err)
+		return nil, 0, fmt.Errorf("mcjob: job log: %w", err)
 	}
-	return &checkpoint{f: f, skippedRecords: skipped}, restored, nil
+	e.f = f
+	return restored, skipped, nil
 }
 
-// replayShardLog restores completed shards from the append-only log. It
-// reads with a bufio.Reader line loop rather than a bufio.Scanner: a
+// replay reads a job log into e in one pass: every good line's event
+// enters the ring, e's seq continues from the last one, and each
+// checkpoint_flushed line that passes the plan's geometry check restores
+// its shard (a later line for the same shard replaces an earlier one;
+// racing duplicates carry identical partials). A line is bad, and is
+// skipped and counted, when it is torn (no newline at EOF), oversized,
+// malformed, not an event, not above the previous seq (or so large that
+// no seq can follow it), or a shard line inconsistent with the plan;
+// such shards simply rerun. valid is the
+// length of the log up to the end of its last complete line.
+//
+// It reads with a bufio.Reader line loop rather than a bufio.Scanner: a
 // scanner hitting its buffer cap stops with ErrTooLong, and swallowing
-// that dropped every record after the first oversized one with no
-// signal. Here an oversized line is skipped and counted like any other
-// bad record, and the records behind it still replay. Lines that are
-// torn (no trailing newline at EOF), malformed, out of range or
-// inconsistent with the plan are likewise counted and skipped — those
-// shards simply rerun.
-func replayShardLog(rf io.Reader, p plan) (map[int][]Partial, int, error) {
-	restored := map[int][]Partial{}
-	skipped := 0
-	r := bufio.NewReaderSize(rf, 1<<20)
+// that dropped every line after the first oversized one with no signal.
+func (e *EventLog) replay(r io.Reader, p plan) (restored map[int][]Partial, skipped int, valid int64, err error) {
+	restored = map[int][]Partial{}
+	br := bufio.NewReaderSize(r, 1<<20)
 	var line []byte
 	for {
 		line = line[:0]
-		tooLong := false
+		n, tooLong := 0, false
 		var readErr error
 		for {
-			frag, err := r.ReadSlice('\n')
-			if len(line)+len(frag) > maxShardRecordBytes {
+			frag, err := br.ReadSlice('\n')
+			n += len(frag)
+			if len(line)+len(frag) > maxLogLineBytes {
 				tooLong = true
 				line = line[:0] // discard; keep consuming to the newline
 			} else {
@@ -156,64 +137,37 @@ func replayShardLog(rf io.Reader, p plan) (map[int][]Partial, int, error) {
 			}
 		}
 		if readErr != nil && !errors.Is(readErr, io.EOF) {
-			return nil, 0, readErr
+			return nil, 0, 0, readErr
 		}
-		switch {
-		case tooLong:
+		if readErr == nil {
+			valid += int64(n)
+		}
+		if n > 0 && (tooLong || readErr != nil || !e.replayLine(line, p, restored)) {
 			skipped++
-		case len(line) > 0:
-			if rec, ok := parseShardRecord(line, p); ok {
-				restored[rec.Shard] = rec.Chunks
-			} else {
-				skipped++ // torn, corrupt or inconsistent line: rerun that shard
-			}
 		}
-		if errors.Is(readErr, io.EOF) {
-			return restored, skipped, nil
+		if readErr != nil {
+			return restored, skipped, valid, nil
 		}
 	}
 }
 
-// parseShardRecord decodes and validates one shard-log line against the
-// plan's geometry.
-func parseShardRecord(line []byte, p plan) (shardRecord, bool) {
-	var rec shardRecord
-	if json.Unmarshal(line, &rec) != nil {
-		return rec, false
+// replayLine applies one complete line and reports whether it was good.
+// A decoded event moves the seq forward even when its shard is refused,
+// so no later line reuses a seq the file already holds.
+func (e *EventLog) replayLine(line []byte, p plan, restored map[int][]Partial) bool {
+	var ln logLine
+	if json.Unmarshal(line, &ln) != nil || ln.Type == "" || ln.Seq <= e.seq || ln.Seq == math.MaxInt64 {
+		return false
 	}
-	if rec.Shard < 0 || rec.Shard >= p.shards {
-		return rec, false
+	e.seq = ln.Seq
+	if ln.Type == EventCheckpointFlush {
+		if p.checkShard(ln.Shard, ln.Chunks) != nil {
+			return false
+		}
+		restored[ln.Shard] = ln.Chunks
 	}
-	lo, hi := p.shardChunks(rec.Shard)
-	if len(rec.Chunks) != hi-lo {
-		return rec, false
-	}
-	return rec, true
-}
-
-// writeShard appends one completed shard and fsyncs, so an acknowledged
-// shard survives a kill -9.
-func (c *checkpoint) writeShard(s int, parts []Partial) error {
-	line, err := json.Marshal(shardRecord{Shard: s, Chunks: parts})
-	if err != nil {
-		return fmt.Errorf("mcjob: encode shard %d: %w", s, err)
-	}
-	line = append(line, '\n')
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, err := c.f.Write(line); err != nil {
-		return fmt.Errorf("mcjob: append shard %d: %w", s, err)
-	}
-	if err := c.f.Sync(); err != nil {
-		return fmt.Errorf("mcjob: sync shard log: %w", err)
-	}
-	return nil
-}
-
-func (c *checkpoint) close() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.f.Close()
+	e.push(ln.Event)
+	return true
 }
 
 // writeFileAtomic writes via a temp file, fsync, rename and a sync of

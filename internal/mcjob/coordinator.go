@@ -41,11 +41,6 @@ type CoordinatorConfig struct {
 	// 10s).
 	LeaseTTL time.Duration
 
-	// Events, when non-nil, receives the run's lifecycle timeline: lease
-	// churn, partial uploads, shard merges, checkpoint flushes. A nil log
-	// is inert.
-	Events *EventLog
-
 	// now is the test seam for lease-expiry clocks; nil uses time.Now.
 	now func() time.Time
 }
@@ -53,25 +48,25 @@ type CoordinatorConfig struct {
 // Coordinator owns one sharded run and is the package's only merger: it
 // grants shard leases to workers (in-process or on peer replicas), folds
 // submitted shard partials online in canonical chunk order, checkpoints
-// accepted shards and keeps the run's progress. Because every chunk's
-// draws and the fold order are functions of (kernel spec, trials, seed)
-// alone, the merged result is bit-identical (Float64bits) for every shard
-// count and worker count, no matter how shards were spread across
-// replicas, how often leases expired, or how many duplicate submissions
-// raced.
+// accepted shards and keeps the run's progress and event timeline.
+// Because every chunk's draws and the fold order are functions of
+// (kernel spec, trials, seed) alone, the merged result is bit-identical
+// (Float64bits) for every shard count and worker count, no matter how
+// shards were spread across replicas, how often leases expired, or how
+// many duplicate submissions raced.
 //
-// Leases live in memory only. The fsynced shard log is the run's one
-// durable state: after a restart every unmerged shard is leasable at
-// once, which costs at most one TTL of duplicate compute that idempotent
-// Submit absorbs.
+// Leases live in memory only. The job log (the timeline on disk, with
+// each accepted shard's partials fsynced on its checkpoint_flushed line)
+// is the run's one durable state: after a restart every unmerged shard is
+// leasable at once, which costs at most one TTL of duplicate compute that
+// idempotent Submit absorbs.
 type Coordinator struct {
 	eval   *ShardEvaluator
 	k      Kernel
 	cfg    RunConfig
 	ttl    time.Duration
 	now    func() time.Time
-	events *EventLog // nil-safe lifecycle timeline
-	cp     *checkpoint
+	events *EventLog
 
 	mu       sync.Mutex
 	tally    Tally
@@ -86,8 +81,8 @@ type Coordinator struct {
 }
 
 // NewCoordinator validates the spec, opens (and replays) the checkpoint
-// when cfg.CheckpointDir is set, and — if the checkpoint already covers
-// every shard — finishes immediately.
+// when cfg.CheckpointDir is set, appends the run's submitted event, and —
+// if the checkpoint already covers every shard — finishes immediately.
 func NewCoordinator(k Kernel, cfg RunConfig, opt CoordinatorConfig) (*Coordinator, error) {
 	eval, err := NewShardEvaluator(k, cfg)
 	if err != nil {
@@ -99,7 +94,7 @@ func NewCoordinator(k Kernel, cfg RunConfig, opt CoordinatorConfig) (*Coordinato
 		eval: eval, k: k, cfg: cfg,
 		ttl:     opt.LeaseTTL,
 		now:     opt.now,
-		events:  opt.Events,
+		events:  newEventLog(),
 		byShard: make([][]Partial, p.shards),
 		present: make([]bool, p.shards),
 		leases:  map[int]Lease{},
@@ -114,7 +109,7 @@ func NewCoordinator(k Kernel, cfg RunConfig, opt CoordinatorConfig) (*Coordinato
 	c.prog = Progress{Shards: p.shards, Trials: cfg.Trials, LastShard: -1}
 
 	if cfg.CheckpointDir != "" {
-		cp, restored, err := openCheckpoint(cfg.CheckpointDir, manifest{
+		restored, skipped, err := c.events.open(cfg.CheckpointDir, manifest{
 			Version: checkpointVersion, Kind: k.Kind(),
 			Trials: cfg.Trials, ChunkTrials: p.chunkTrials,
 			Shards: p.shards, Seed: cfg.Seed, SpecHash: cfg.SpecHash,
@@ -122,8 +117,7 @@ func NewCoordinator(k Kernel, cfg RunConfig, opt CoordinatorConfig) (*Coordinato
 		if err != nil {
 			return nil, err
 		}
-		c.cp = cp
-		c.prog.CheckpointSkipped = cp.skippedRecords
+		c.prog.CheckpointSkipped = skipped
 		for s, parts := range restored {
 			c.byShard[s] = parts
 			c.present[s] = true
@@ -132,10 +126,11 @@ func NewCoordinator(k Kernel, cfg RunConfig, opt CoordinatorConfig) (*Coordinato
 			c.prog.TrialsDone += p.shardTrials(s)
 		}
 		c.prog.TrialsResumed = c.prog.TrialsDone
-		if c.prog.ShardsResumed > 0 {
-			c.events.Append(EventCheckpointResume, -1, "",
-				fmt.Sprintf("%d shards restored from checkpoint", c.prog.ShardsResumed))
-		}
+	}
+	c.events.Append(EventSubmitted, -1, "", fmt.Sprintf("kind=%s trials=%d", k.Kind(), cfg.Trials))
+	if c.prog.ShardsResumed > 0 {
+		c.events.Append(EventCheckpointResume, -1, "",
+			fmt.Sprintf("%d shards restored from checkpoint", c.prog.ShardsResumed))
 		c.advanceLocked()
 	}
 
@@ -157,6 +152,11 @@ func (c *Coordinator) TTL() time.Duration { return c.ttl }
 // Evaluator returns the run's shard evaluator, for workers that compute
 // leased shards in-process.
 func (c *Coordinator) Evaluator() *ShardEvaluator { return c.eval }
+
+// Events returns the run's timeline. When the run checkpoints, it
+// starts with every event replayed from the job log, and its seq
+// continues across restarts.
+func (c *Coordinator) Events() *EventLog { return c.events }
 
 // advanceLocked folds newly contiguous shard partials in ascending
 // chunk order. Callers hold c.mu (or, in NewCoordinator, exclusive
@@ -274,21 +274,9 @@ func (c *Coordinator) Renew(owner string) int {
 // time, forwarded to OnProgress.
 func (c *Coordinator) Submit(owner string, shard int, parts []Partial, seconds float64) (accepted bool, err error) {
 	p := c.eval.p
-	if shard < 0 || shard >= p.shards {
-		c.events.Append(EventPartialRejected, shard, owner, "shard out of range")
-		return false, fmt.Errorf("%w: shard %d out of range [0,%d)", ErrBadSubmission, shard, p.shards)
-	}
-	cLo, cHi := p.shardChunks(shard)
-	if len(parts) != cHi-cLo {
-		c.events.Append(EventPartialRejected, shard, owner, "wrong chunk count")
-		return false, fmt.Errorf("%w: shard %d carries %d chunk partials, plan needs %d", ErrBadSubmission, shard, len(parts), cHi-cLo)
-	}
-	for i, pt := range parts {
-		tLo, tHi := p.chunkTrialRange(cLo + i)
-		if pt.Trials != tHi-tLo {
-			c.events.Append(EventPartialRejected, shard, owner, "wrong trial geometry")
-			return false, fmt.Errorf("%w: shard %d chunk %d tallies %d trials, plan needs %d", ErrBadSubmission, shard, cLo+i, pt.Trials, tHi-tLo)
-		}
+	if err := p.checkShard(shard, parts); err != nil {
+		c.events.Append(EventPartialRejected, shard, owner, err.Error())
+		return false, fmt.Errorf("%w: %v", ErrBadSubmission, err)
 	}
 
 	c.mu.Lock()
@@ -299,14 +287,13 @@ func (c *Coordinator) Submit(owner string, shard int, parts []Partial, seconds f
 	}
 	c.mu.Unlock()
 
-	// Checkpoint outside the merge lock: writeShard fsyncs, and has its
-	// own mutex. Two racing duplicates may both append — identical bytes,
-	// and replay keeps the last record, so the log stays consistent.
-	if c.cp != nil {
-		if err := c.cp.writeShard(shard, parts); err != nil {
-			return false, err
-		}
-		c.events.Append(EventCheckpointFlush, shard, owner, "")
+	// Checkpoint before acknowledging, outside the merge lock: the shard's
+	// flush line is appended under the log's lock alone and fsynced with
+	// no lock held (lock order: c.mu, then the log's; see EventLog). Two
+	// racing duplicates may both append — identical partials, and replay
+	// keeps the last, so the log stays consistent.
+	if err := c.events.flushShard(shard, owner, parts); err != nil {
+		return false, err
 	}
 
 	c.mu.Lock()
@@ -388,13 +375,9 @@ func (c *Coordinator) Progress() Progress {
 	return c.prog
 }
 
-// Close releases the checkpoint file handle. Safe on a nil-checkpoint
-// coordinator; call once the run is finished or abandoned.
-func (c *Coordinator) Close() {
-	if c.cp != nil {
-		c.cp.close()
-	}
-}
+// Close releases the job log, if the run checkpoints; call once the run
+// is finished or abandoned. The timeline stays readable.
+func (c *Coordinator) Close() { c.events.close() }
 
 // RunLocal drives the coordinator with in-process workers until the run
 // finishes (returns nil), ctx is cancelled (returns ctx.Err()), or a

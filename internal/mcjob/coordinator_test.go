@@ -3,6 +3,7 @@ package mcjob
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -299,5 +300,83 @@ func TestRunLocalCancel(t *testing.T) {
 	}
 	if _, ok := c.Result(); ok {
 		t.Fatalf("cancelled run reported a result")
+	}
+}
+
+// TestCheckpointResumeContinuesTimeline stops a checkpointed coordinator
+// mid-run (RunLocal cancelled, then Close), reopens it on the same
+// directory and finishes the run. The timeline the second coordinator
+// serves is the job log replayed and continued: one gap-free seq
+// sequence from 1, with the first run's flushes and merges before
+// checkpoint_resumed. The result matches an uninterrupted Run to the bit.
+func TestCheckpointResumeContinuesTimeline(t *testing.T) {
+	cfg := RunConfig{Trials: 8*defectChunkTrials + 5, Shards: 8, Seed: 41}
+	k, err := NewDefectKernel(DefectSpec{Lambda: 0.7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := Run(context.Background(), k, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	cfg.CheckpointDir = t.TempDir()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	cfg.OnProgress = func(p Progress) {
+		if p.ShardsDone >= 3 {
+			cancel()
+		}
+	}
+	c1, err := NewCoordinator(k, cfg, CoordinatorConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c1.RunLocal(ctx, "first", 1); !errors.Is(err, context.Canceled) {
+		t.Fatalf("stopped run returned %v, want context.Canceled", err)
+	}
+	c1.Close()
+
+	cfg.OnProgress = nil
+	c2, err := NewCoordinator(k, cfg, CoordinatorConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c2.Close()
+	if err := c2.RunLocal(context.Background(), "second", 2); err != nil {
+		t.Fatal(err)
+	}
+	got, ok := c2.Result()
+	if !ok {
+		t.Fatal("no result after resume")
+	}
+	mustEqualResults(t, "resumed", want, got)
+
+	evs, dropped := c2.Events().Snapshot(0)
+	if dropped != 0 || len(evs) == 0 {
+		t.Fatalf("timeline holds %d events, dropped %d", len(evs), dropped)
+	}
+	resumed := -1
+	before := map[string]int{}
+	for i, ev := range evs {
+		if ev.Seq != int64(i+1) {
+			t.Fatalf("event %d (%s) has seq %d, want %d: the timeline is not one gap-free sequence", i, ev.Type, ev.Seq, i+1)
+		}
+		if ev.Type == EventCheckpointResume && resumed < 0 {
+			resumed = i
+		}
+		if resumed < 0 {
+			before[ev.Type]++
+		}
+	}
+	if resumed < 0 {
+		t.Fatalf("no %s event in %+v", EventCheckpointResume, evs)
+	}
+	if before[EventCheckpointFlush] < 3 || before[EventShardMerged] < 3 {
+		t.Fatalf("before %s: %d flushes and %d merges, want the first run's 3 of each",
+			EventCheckpointResume, before[EventCheckpointFlush], before[EventShardMerged])
+	}
+	if before[EventSubmitted] != 2 {
+		t.Fatalf("before %s: %d submitted events, want one per run", EventCheckpointResume, before[EventSubmitted])
 	}
 }

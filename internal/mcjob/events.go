@@ -2,8 +2,8 @@ package mcjob
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
-	"path/filepath"
 	"sync"
 	"time"
 )
@@ -44,93 +44,107 @@ const (
 // beyond the cap are dropped oldest-first and counted, never silently.
 const defaultEventCapacity = 1024
 
-// eventJournalName is the NDJSON journal written beside the shard log
-// when the job checkpoints. It is an operator aid, not a durability
-// primitive: writes are append-only but unfsynced, nothing replays it,
-// and losing it loses nothing but explanation — the shard log remains
-// the sole source of resumable truth.
-const eventJournalName = "events.ndjson"
+// logLine is one line of the job log: an Event with its usual keys and,
+// on the checkpoint_flushed line that makes a shard durable, the shard's
+// per-chunk partials as a trailing "chunks" key. The ring keeps only the
+// Event, so the timeline served to clients never carries chunks.
+type logLine struct {
+	Event
+	Chunks []Partial `json:"chunks,omitempty"`
+}
 
-// EventLog is a bounded, concurrency-safe ring of lifecycle events with
-// an optional NDJSON journal. The nil *EventLog is valid and inert, so
-// instrumented code (the Coordinator in library use) never branches on
-// whether a timeline was attached.
+// EventLog is a job's timeline: a bounded, concurrency-safe ring of
+// lifecycle events and, when the run checkpoints, the job log that every
+// event is written to (see checkpoint.go). Each Coordinator owns one.
+//
+// Lock order: the Coordinator appends while holding its merge lock, so
+// Coordinator.mu is taken before EventLog.mu, never after. The fsync of
+// a shard line (flushShard) runs with neither held.
 type EventLog struct {
 	mu      sync.Mutex
-	cap     int
 	seq     int64
 	events  []Event
 	dropped int64
 	changed chan struct{}
-	journal *os.File
-	now     func() time.Time // test seam
+	// f is the job log, nil when the run does not checkpoint. It is set
+	// before the log is shared and never reassigned, so flushShard reads
+	// it without mu. Lines are written under mu: they reach the file in
+	// seq order.
+	f *os.File
+	// ferr is the first failed write (or the close). Later lines are not
+	// written, since replay would read a torn line and the one after it as
+	// one bad line, and the next shard flush returns it, so no shard is
+	// acknowledged that the log cannot replay.
+	ferr error
 }
 
-// NewEventLog returns an event ring retaining up to capacity events
-// (capacity < 1 uses the default).
-func NewEventLog(capacity int) *EventLog {
-	if capacity < 1 {
-		capacity = defaultEventCapacity
-	}
-	return &EventLog{cap: capacity, changed: make(chan struct{}), now: time.Now}
+func newEventLog() *EventLog {
+	return &EventLog{changed: make(chan struct{})}
 }
 
-// Journal mirrors every subsequent append to an NDJSON file at path,
-// creating parent directories as needed. Best-effort by design: write
-// errors are ignored (the in-memory ring stays authoritative for the
-// events endpoint).
-func (e *EventLog) Journal(path string) error {
-	if e == nil {
+// Append records one event. Shard is -1 for events that are not about a
+// specific shard. With a job log attached the line is written but not
+// fsynced; it becomes durable at the next shard flush.
+func (e *EventLog) Append(typ string, shard int, owner, detail string) {
+	e.mu.Lock()
+	e.appendLocked(typ, shard, owner, detail, nil)
+	e.mu.Unlock()
+}
+
+// flushShard appends the checkpoint_flushed line that carries shard's
+// per-chunk partials and fsyncs the job log, so once it returns nil the
+// shard survives a kill -9, and so does every line written before it.
+// The fsync runs after mu is released: no other append waits for the
+// disk. Without a job log it does nothing.
+func (e *EventLog) flushShard(shard int, owner string, parts []Partial) error {
+	if e.f == nil {
 		return nil
 	}
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return err
-	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return err
-	}
 	e.mu.Lock()
-	old := e.journal
-	e.journal = f
+	e.appendLocked(EventCheckpointFlush, shard, owner, "", parts)
+	err := e.ferr
 	e.mu.Unlock()
-	if old != nil {
-		old.Close()
+	if err != nil {
+		return fmt.Errorf("mcjob: append shard %d: %w", shard, err)
+	}
+	if err := e.f.Sync(); err != nil {
+		return fmt.Errorf("mcjob: sync job log: %w", err)
 	}
 	return nil
 }
 
-// Append records one event. Shard is -1 for events that are not about a
-// specific shard. Safe on nil.
-func (e *EventLog) Append(typ string, shard int, owner, detail string) {
-	if e == nil {
-		return
-	}
-	e.mu.Lock()
+// appendLocked assigns the next seq, writes the event's line to the job
+// log (chunks only on a shard's flush line), adds the event to the ring
+// and wakes the streamers. Callers hold e.mu.
+func (e *EventLog) appendLocked(typ string, shard int, owner, detail string, chunks []Partial) {
 	e.seq++
-	ev := Event{Seq: e.seq, Time: e.now().UTC(), Type: typ, Shard: shard, Owner: owner, Detail: detail}
-	if len(e.events) >= e.cap {
+	ev := Event{Seq: e.seq, Time: time.Now().UTC(), Type: typ, Shard: shard, Owner: owner, Detail: detail}
+	if e.f != nil && e.ferr == nil {
+		line, err := json.Marshal(logLine{Event: ev, Chunks: chunks})
+		if err == nil {
+			_, err = e.f.Write(append(line, '\n'))
+		}
+		e.ferr = err
+	}
+	e.push(ev)
+	close(e.changed)
+	e.changed = make(chan struct{})
+}
+
+// push adds ev to the ring, dropping and counting the oldest event when
+// the ring is full.
+func (e *EventLog) push(ev Event) {
+	if len(e.events) >= defaultEventCapacity {
 		n := copy(e.events, e.events[1:])
 		e.events = e.events[:n]
 		e.dropped++
 	}
 	e.events = append(e.events, ev)
-	if e.journal != nil {
-		if line, err := json.Marshal(ev); err == nil {
-			e.journal.Write(append(line, '\n'))
-		}
-	}
-	close(e.changed)
-	e.changed = make(chan struct{})
-	e.mu.Unlock()
 }
 
 // Snapshot returns the retained events with Seq > after (0 returns
 // everything retained) plus how many older events the ring has dropped.
 func (e *EventLog) Snapshot(after int64) ([]Event, int64) {
-	if e == nil {
-		return nil, 0
-	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	i := 0
@@ -143,27 +157,23 @@ func (e *EventLog) Snapshot(after int64) ([]Event, int64) {
 }
 
 // Changed returns a channel closed on the next append, for live
-// streamers. On a nil log it returns nil, which blocks forever in a
-// select.
+// streamers.
 func (e *EventLog) Changed() <-chan struct{} {
-	if e == nil {
-		return nil
-	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return e.changed
 }
 
-// Close releases the journal file, if any. The ring stays readable.
-func (e *EventLog) Close() {
-	if e == nil {
+// close releases the job log. Later events reach only the ring, and a
+// later shard flush fails. The Close error is dropped: every shard line
+// was fsynced before it was acknowledged, and the event lines after the
+// last fsync are allowed to be lost.
+func (e *EventLog) close() {
+	if e.f == nil {
 		return
 	}
 	e.mu.Lock()
-	j := e.journal
-	e.journal = nil
-	e.mu.Unlock()
-	if j != nil {
-		j.Close()
-	}
+	defer e.mu.Unlock()
+	e.f.Close()
+	e.ferr = os.ErrClosed
 }

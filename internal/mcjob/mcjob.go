@@ -20,12 +20,15 @@
 // single-worker single-shard run for every shard count, worker count and
 // interleaving.
 //
-// Completed shards checkpoint to disk (see checkpoint.go): a killed run
-// restarted with the same spec replays nothing but the pending shards.
+// Completed shards checkpoint to disk in the job log, which also holds
+// the run's event timeline (see checkpoint.go): a killed run restarted
+// with the same spec draws nothing but the pending shards, and its
+// timeline continues where the log left off.
 package mcjob
 
 import (
 	"context"
+	"fmt"
 
 	"repro/internal/stats"
 )
@@ -205,6 +208,27 @@ func (p plan) shardTrials(s int) int64 {
 	lo, _ := p.chunkTrialRange(cLo)
 	_, hi := p.chunkTrialRange(cHi - 1)
 	return hi - lo
+}
+
+// checkShard reports why parts cannot be shard s's per-chunk partials
+// under this plan — s out of range, the wrong chunk count, or a chunk
+// tallying the wrong number of trials — or nil. Submit and job-log
+// replay both apply it, so nothing folds a shard of another geometry.
+func (p plan) checkShard(s int, parts []Partial) error {
+	if s < 0 || s >= p.shards {
+		return fmt.Errorf("shard %d out of range [0,%d)", s, p.shards)
+	}
+	lo, hi := p.shardChunks(s)
+	if len(parts) != hi-lo {
+		return fmt.Errorf("shard %d carries %d chunk partials, plan needs %d", s, len(parts), hi-lo)
+	}
+	for i, pt := range parts {
+		tLo, tHi := p.chunkTrialRange(lo + i)
+		if pt.Trials != tHi-tLo {
+			return fmt.Errorf("shard %d chunk %d tallies %d trials, plan needs %d", s, lo+i, pt.Trials, tHi-tLo)
+		}
+	}
+	return nil
 }
 
 // Kernel is one simulation kind, prepared once and evaluated chunk by

@@ -1,6 +1,7 @@
 package mcjob
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -220,6 +221,32 @@ func TestCheckpointSpecMismatchRefuses(t *testing.T) {
 	}
 }
 
+// TestCheckpointRefusesVersion1Layout: a directory written by the old
+// layout (a shard-record log beside a separate events journal) carries a
+// version-1 manifest, and is refused rather than misread.
+func TestCheckpointRefusesVersion1Layout(t *testing.T) {
+	k, err := NewDefectKernel(DefectSpec{Lambda: 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	cfg := RunConfig{Trials: defectChunkTrials, Seed: 1, CheckpointDir: dir}
+	v1 := manifest{Version: 1, Kind: k.Kind(), Trials: cfg.Trials, ChunkTrials: defectChunkTrials, Shards: 1, Seed: 1}
+	if err := os.WriteFile(filepath.Join(dir, manifestName), mustJSON(v1), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Run(context.Background(), k, cfg); !errors.Is(err, ErrCheckpointMismatch) {
+		t.Fatalf("version-1 directory: got %v, want ErrCheckpointMismatch", err)
+	}
+	v1.Version = checkpointVersion
+	if err := os.WriteFile(filepath.Join(dir, manifestName), mustJSON(v1), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Run(context.Background(), k, cfg); err != nil {
+		t.Fatalf("same manifest at version %d: %v", checkpointVersion, err)
+	}
+}
+
 func TestCheckpointToleratesTornAndGarbageLines(t *testing.T) {
 	// A kill -9 can tear the final shard line; stray garbage must not
 	// poison the resume — damaged shards just rerun.
@@ -242,8 +269,11 @@ func TestCheckpointToleratesTornAndGarbageLines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Truncate mid-way through the last record and append junk.
-	damaged := append(data[:len(data)-20:len(data)-20], []byte("\nnot json at all\n{\"shard\":99,\"chunks\":[]}\n")...)
+	// Truncate mid-way through the last line that carries a shard (the
+	// events logged after it go too) and append junk.
+	end := bytes.LastIndex(data, []byte(`"chunks"`))
+	end += bytes.IndexByte(data[end:], '\n') - 20
+	damaged := append(data[:end:end], []byte("\nnot json at all\n{\"shard\":99,\"chunks\":[]}\n")...)
 	if err := os.WriteFile(logPath, damaged, 0o644); err != nil {
 		t.Fatal(err)
 	}

@@ -228,25 +228,21 @@ type job struct {
 	kind       string
 	trials     int64
 	checkpoint bool
+	started    time.Time
 	done       chan struct{}
 	cancel     context.CancelFunc
 	// coord runs the job: this replica's workers lease, evaluate and
-	// submit its shards. A distributed job also takes remote lease and
-	// partials calls and is listed at /v1/jobs/open, with specJSON — the
-	// submitted jobRequest — so workers can rebuild the kernel and
-	// evaluator from the spec alone.
+	// submit its shards. It holds the job's progress and its timeline,
+	// served at /v1/jobs/{id}/events. A distributed job also takes remote
+	// lease and partials calls and is listed at /v1/jobs/open, with
+	// specJSON — the submitted jobRequest — so workers can rebuild the
+	// kernel and evaluator from the spec alone.
 	coord       *mcjob.Coordinator
 	distributed bool
 	specJSON    json.RawMessage
-	// events is the job's lifecycle timeline, served at
-	// /v1/jobs/{id}/events and journaled beside the shard log when the
-	// job checkpoints.
-	events *mcjob.EventLog
 
 	mu          sync.Mutex
 	state       string // "running" | "done" | "failed" | "cancelled"
-	prog        mcjob.Progress
-	started     time.Time
 	finished    time.Time
 	resultBytes []byte
 	errMsg      string
@@ -288,6 +284,10 @@ type jobStatusJSON struct {
 func (j *job) status() jobStatusJSON {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	// Progress is read while j.mu holds the state still. The coordinator
+	// finishes before the state becomes done, so a done job always
+	// reports its final progress.
+	prog := j.coord.Progress()
 	end := j.finished
 	if end.IsZero() {
 		end = time.Now()
@@ -295,18 +295,18 @@ func (j *job) status() jobStatusJSON {
 	elapsed := end.Sub(j.started).Seconds()
 	st := jobStatusJSON{
 		ID: j.id, Kind: j.kind, State: j.state,
-		Trials: j.trials, TrialsDone: j.prog.TrialsDone,
-		Shards: j.prog.Shards, ShardsDone: j.prog.ShardsDone,
-		ShardsResumed: j.prog.ShardsResumed,
+		Trials: j.trials, TrialsDone: prog.TrialsDone,
+		Shards: prog.Shards, ShardsDone: prog.ShardsDone,
+		ShardsResumed: prog.ShardsResumed,
 		Checkpoint:    j.checkpoint,
 		Distributed:   j.distributed,
 		ElapsedSec:    elapsed,
 		Error:         j.errMsg,
 	}
-	if live := j.prog.TrialsDone - j.prog.TrialsResumed; live > 0 && elapsed > 0 {
+	if live := prog.TrialsDone - prog.TrialsResumed; live > 0 && elapsed > 0 {
 		st.TrialsPerSec = float64(live) / elapsed
 		if j.state == "running" {
-			st.EtaSec = float64(j.trials-j.prog.TrialsDone) / st.TrialsPerSec
+			st.EtaSec = float64(j.trials-prog.TrialsDone) / st.TrialsPerSec
 		}
 	}
 	if j.state == "done" {
@@ -407,19 +407,15 @@ func (m *jobManager) startOrAttach(req jobRequest) (*job, bool, error) {
 		cancel:     cancel,
 		state:      "running",
 		started:    time.Now(),
-		events:     mcjob.NewEventLog(0),
 	}
 	cfg := mcjob.RunConfig{
 		Trials: req.Trials, Shards: req.Shards, Seed: req.Seed,
 		SpecHash: specHash,
 		OnProgress: func(p mcjob.Progress) {
-			j.mu.Lock()
-			j.prog = p
-			elapsed := time.Since(j.started).Seconds()
-			j.mu.Unlock()
 			if p.LastShard >= 0 {
 				m.metrics.jobShardSeconds.Observe(p.LastShardSeconds)
 			}
+			elapsed := time.Since(j.started).Seconds()
 			if live := p.TrialsDone - p.TrialsResumed; live > 0 && elapsed > 0 {
 				m.metrics.jobTrialsPerSec.Set(float64(live) / elapsed)
 			}
@@ -427,19 +423,11 @@ func (m *jobManager) startOrAttach(req jobRequest) (*job, bool, error) {
 	}
 	if req.Checkpoint {
 		cfg.CheckpointDir = filepath.Join(m.dir, id)
-		// The journal rides beside the shard log. Best-effort: a journal
-		// that cannot open costs explanation, not correctness.
-		if err := j.events.Journal(filepath.Join(cfg.CheckpointDir, "events.ndjson")); err != nil {
-			m.log.Warn("event journal unavailable", "job_id", id, "error", err)
-		}
 	}
-	j.events.Append(mcjob.EventSubmitted, -1, "",
-		fmt.Sprintf("kind=%s trials=%d", k.Kind(), req.Trials))
 
-	coord, err := mcjob.NewCoordinator(k, cfg, mcjob.CoordinatorConfig{LeaseTTL: m.leaseTTL, Events: j.events})
+	coord, err := mcjob.NewCoordinator(k, cfg, mcjob.CoordinatorConfig{LeaseTTL: m.leaseTTL})
 	if err != nil {
 		cancel()
-		j.events.Close()
 		if errors.Is(err, mcjob.ErrCheckpointMismatch) {
 			return nil, false, &apiError{status: http.StatusConflict, code: "checkpoint_mismatch", err: err}
 		}
@@ -458,7 +446,6 @@ func (m *jobManager) startOrAttach(req jobRequest) (*job, bool, error) {
 	if err := m.baseCtx.Err(); err != nil {
 		cancel()
 		coord.Close()
-		j.events.Close()
 		return nil, false, fmt.Errorf("job manager shutting down")
 	}
 	m.jobs[id] = j
@@ -555,13 +542,12 @@ func (m *jobManager) finishJob(j *job, res mcjob.Result, runErr error) {
 
 	switch state {
 	case "done":
-		j.events.Append(mcjob.EventCompleted, -1, "", "")
+		j.coord.Events().Append(mcjob.EventCompleted, -1, "", "")
 	case "cancelled":
-		j.events.Append(mcjob.EventCancelled, -1, "", "")
+		j.coord.Events().Append(mcjob.EventCancelled, -1, "", "")
 	default:
-		j.events.Append(mcjob.EventFailed, -1, "", errMsg)
+		j.coord.Events().Append(mcjob.EventFailed, -1, "", errMsg)
 	}
-	j.events.Close()
 
 	m.mu.Lock()
 	m.running--
@@ -644,9 +630,10 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) (any, e
 }
 
 // handleJobStatus answers one status snapshot, or — with
-// "Accept: application/x-ndjson" — streams a snapshot per completed
-// shard (coalesced to poll ticks) until the job reaches a terminal
-// state, the request deadline passes, or the client leaves.
+// "Accept: application/x-ndjson" — streams one snapshot now and one per
+// change of the job's timeline (changes that land together share a
+// line) until the job reaches a terminal state, the request deadline
+// passes, or the client leaves.
 func (s *Server) handleJobStatus(w http.ResponseWriter, r *http.Request) (any, error) {
 	j := s.jobs.get(trimmedPathValue(r, "id"))
 	if j == nil {
@@ -655,32 +642,36 @@ func (s *Server) handleJobStatus(w http.ResponseWriter, r *http.Request) (any, e
 	if !wantsNDJSON(r) {
 		return j.status(), nil
 	}
+	followJob(w, r, j, func(enc *json.Encoder) error { return enc.Encode(j.status()) })
+	return wroteResponse{}, nil
+}
+
+// followJob is the one follow loop behind both NDJSON job streams. It
+// calls write once up front, again each time the job's timeline
+// changes, and a last time once the job has ended, then returns; it
+// also returns when the request's deadline passes, the client leaves or
+// a write fails.
+func followJob(w http.ResponseWriter, r *http.Request, j *job, write func(*json.Encoder) error) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	enc := json.NewEncoder(w)
-	write := func() error {
-		st := j.status()
-		if err := enc.Encode(st); err != nil {
-			return err
+	for {
+		// Take the change channel and the terminal check before writing,
+		// so an append or the job's end during the write wakes the next
+		// round instead of being missed.
+		changed := j.coord.Events().Changed()
+		ended := j.terminal()
+		if write(enc) != nil {
+			return
 		}
 		flush(w)
-		return nil
-	}
-	if err := write(); err != nil {
-		return wroteResponse{}, nil
-	}
-	ticker := time.NewTicker(200 * time.Millisecond)
-	defer ticker.Stop()
-	for {
+		if ended {
+			return
+		}
 		select {
+		case <-changed:
 		case <-j.done:
-			write()
-			return wroteResponse{}, nil
 		case <-r.Context().Done():
-			return wroteResponse{}, nil
-		case <-ticker.C:
-			if err := write(); err != nil {
-				return wroteResponse{}, nil
-			}
+			return
 		}
 	}
 }
@@ -743,57 +734,32 @@ type jobEventsJSON struct {
 // — with "Accept: application/x-ndjson" — a live stream that replays the
 // retained ring and then follows new events until the job reaches a
 // terminal state (the stream's last line is the terminal event), the
-// request deadline passes, or the client leaves.
+// request deadline passes, or the client leaves. A resumed job's
+// timeline starts with the events its job log kept from earlier runs.
 func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) (any, error) {
 	j := s.jobs.get(trimmedPathValue(r, "id"))
 	if j == nil {
 		return nil, jobNotFound(r)
 	}
 	if !wantsNDJSON(r) {
-		evs, dropped := j.events.Snapshot(0)
-		if evs == nil {
-			evs = []mcjob.Event{}
-		}
+		evs, dropped := j.coord.Events().Snapshot(0)
 		j.mu.Lock()
 		state := j.state
 		j.mu.Unlock()
 		return jobEventsJSON{ID: j.id, State: state, DroppedEvents: dropped, Events: evs}, nil
 	}
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	enc := json.NewEncoder(w)
 	var last int64
-	emit := func() error {
-		evs, _ := j.events.Snapshot(last)
+	followJob(w, r, j, func(enc *json.Encoder) error {
+		evs, _ := j.coord.Events().Snapshot(last)
 		for _, ev := range evs {
 			if err := enc.Encode(ev); err != nil {
 				return err
 			}
 			last = ev.Seq
 		}
-		if len(evs) > 0 {
-			flush(w)
-		}
 		return nil
-	}
-	if err := emit(); err != nil {
-		return wroteResponse{}, nil
-	}
-	for {
-		// Grab the change channel before re-checking terminality so an
-		// append between emit and select cannot be missed.
-		ch := j.events.Changed()
-		select {
-		case <-j.done:
-			emit()
-			return wroteResponse{}, nil
-		case <-r.Context().Done():
-			return wroteResponse{}, nil
-		case <-ch:
-			if err := emit(); err != nil {
-				return wroteResponse{}, nil
-			}
-		}
-	}
+	})
+	return wroteResponse{}, nil
 }
 
 func jobNotFound(r *http.Request) *apiError {

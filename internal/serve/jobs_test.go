@@ -204,7 +204,8 @@ func TestJobSaturation(t *testing.T) {
 // TestJobCheckpointResumeByteIdentical is the serve-level half of the
 // resume guarantee: a second server pointed at the same job dir resumes
 // every shard from the checkpoint (drawing nothing) and serves a result
-// byte-identical to the first run's.
+// byte-identical to the first run's, and its timeline starts with the
+// first server's events, byte for byte.
 func TestJobCheckpointResumeByteIdentical(t *testing.T) {
 	dir := t.TempDir()
 	spec := `{"kind":"defect","trials":300000,"shards":8,"seed":21,"checkpoint":true,"defect":{"lambda":1.1,"alpha":2}}`
@@ -216,6 +217,7 @@ func TestJobCheckpointResumeByteIdentical(t *testing.T) {
 		t.Fatalf("first run state = %v", st)
 	}
 	_, _, raw1 := rawDo(t, s1, "GET", "/v1/jobs/"+id+"/result", "")
+	_, _, evRaw1 := rawDo(t, s1, "GET", "/v1/jobs/"+id+"/events", "")
 	s1.Close()
 
 	s2 := newTestServer(t, Config{JobDir: dir})
@@ -233,6 +235,33 @@ func TestJobCheckpointResumeByteIdentical(t *testing.T) {
 	_, _, raw2 := rawDo(t, s2, "GET", "/v1/jobs/"+id+"/result", "")
 	if !bytes.Equal(raw1, raw2) {
 		t.Fatalf("resumed result differs:\n%s\n%s", raw1, raw2)
+	}
+
+	_, _, evRaw2 := rawDo(t, s2, "GET", "/v1/jobs/"+id+"/events", "")
+	var ev1, ev2 struct{ Events []json.RawMessage }
+	if err := json.Unmarshal(evRaw1, &ev1); err != nil {
+		t.Fatalf("first events: %v\n%s", err, evRaw1)
+	}
+	if err := json.Unmarshal(evRaw2, &ev2); err != nil {
+		t.Fatalf("resumed events: %v\n%s", err, evRaw2)
+	}
+	if len(ev1.Events) == 0 || len(ev2.Events) <= len(ev1.Events) {
+		t.Fatalf("resumed timeline has %d events, first run %d; want the first run's and more", len(ev2.Events), len(ev1.Events))
+	}
+	for i, e := range ev1.Events {
+		if !bytes.Equal(e, ev2.Events[i]) {
+			t.Fatalf("resumed timeline event %d = %s, want the first server's %s", i, ev2.Events[i], e)
+		}
+	}
+	if bytes.Contains(evRaw2, []byte(`"chunks"`)) {
+		t.Fatalf("events body carries the job log's chunks: %s", evRaw2)
+	}
+	entries, err := os.ReadDir(filepath.Join(dir, id))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 2 || entries[0].Name() != "MANIFEST.json" || entries[1].Name() != "shards.ndjson" {
+		t.Fatalf("job dir holds %v, want only MANIFEST.json and the job log", entries)
 	}
 }
 

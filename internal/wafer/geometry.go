@@ -18,7 +18,6 @@ type Wafer struct {
 
 // Standard wafer sizes with the customary 3 mm edge exclusion.
 var (
-	Wafer150 = Wafer{DiameterMM: 150, EdgeExclusionMM: 3}
 	Wafer200 = Wafer{DiameterMM: 200, EdgeExclusionMM: 3}
 	Wafer300 = Wafer{DiameterMM: 300, EdgeExclusionMM: 3}
 )

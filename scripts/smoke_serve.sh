@@ -7,7 +7,9 @@
 # envelope contract and the opt-in pprof listener, run a sharded
 # simulation job through /v1/jobs (including a kill -9 mid-job and a
 # checkpoint resume whose result must be byte-identical to an
-# uninterrupted run), follow a job's event timeline and require a
+# uninterrupted run and whose timeline must continue the killed run's
+# events as one gap-free seq sequence), follow a job's event timeline and
+# require a
 # cancelled job's NDJSON event stream to end with the cancelled event,
 # route one traced request through nanocostfront and require the
 # router's federated /debug/trace view to hold both processes' spans,
@@ -248,16 +250,19 @@ jlog="$workdir/jobs_daemon.log"
 jpid=$!
 jaddr=$(wait_addr "$jlog" "$jpid")
 curl -sf -X POST -d "$job_spec" "http://$jaddr/v1/jobs" >/dev/null
-# Wait for a few shards to be checkpointed, then pull the plug.
+# Wait for a few shards to be checkpointed and merged (the timeline's
+# shard_merged events), then pull the plug.
 i=0
+merged=0
 while [ $i -lt 300 ]; do
-  done_shards=$(curl -sf "http://$jaddr/v1/jobs/$job_id" | sed -n 's/.*"shards_done":\([0-9]*\).*/\1/p')
-  [ -n "$done_shards" ] && [ "$done_shards" -ge 3 ] && break
+  merged=$(curl -sf "http://$jaddr/v1/jobs/$job_id/events" | grep -o '"type":"shard_merged"' | wc -l)
+  [ "$merged" -ge 3 ] && break
   i=$((i + 1))
   sleep 0.05
 done
-[ "${done_shards:-0}" -ge 3 ] || { echo "smoke_serve: job checkpointed only ${done_shards:-0} shards before kill window" >&2; exit 1; }
-[ "$done_shards" -lt 64 ] || { echo "smoke_serve: job finished before the kill; enlarge the spec" >&2; exit 1; }
+done_shards=$(curl -sf "http://$jaddr/v1/jobs/$job_id" | sed -n 's/.*"shards_done":\([0-9]*\).*/\1/p')
+[ "$merged" -ge 3 ] || { echo "smoke_serve: job merged only $merged shards before kill window" >&2; exit 1; }
+[ "${done_shards:-64}" -lt 64 ] || { echo "smoke_serve: job finished before the kill; enlarge the spec" >&2; exit 1; }
 kill -9 "$jpid"
 wait "$jpid" 2>/dev/null || true
 
@@ -282,6 +287,27 @@ curl -sf "http://$jaddr/v1/jobs/$job_id/result" > "$workdir/job_resumed.json"
 cmp -s "$workdir/job_ref.json" "$workdir/job_resumed.json" || {
   echo "smoke_serve: resumed result differs from uninterrupted run:" >&2
   diff "$workdir/job_ref.json" "$workdir/job_resumed.json" >&2 || true
+  exit 1
+}
+# The resumed job's timeline is the job log replayed and continued: seqs
+# start at 1 and rise by exactly 1 per line across the kill, and the
+# killed run's merges come before checkpoint_resumed.
+curl -sfN -H 'Accept: application/x-ndjson' "http://$jaddr/v1/jobs/$job_id/events" > "$workdir/job_events.ndjson"
+awk '
+  match($0, /"seq":[0-9]+/) == 0 || substr($0, RSTART + 6, RLENGTH - 6) + 0 != NR {
+    printf "event line %d does not carry seq %d: %s\n", NR, NR, $0; bad = 1; exit
+  }
+  /"type":"checkpoint_resumed"/ && !resumed {
+    resumed = 1
+    if (merged < 3) { printf "%d shard_merged events before checkpoint_resumed, want >= 3\n", merged; bad = 1; exit }
+  }
+  /"type":"shard_merged"/ && !resumed { merged++ }
+  END {
+    if (!bad && !resumed) { print "no checkpoint_resumed event"; bad = 1 }
+    if (bad) exit 1
+  }' "$workdir/job_events.ndjson" >&2 || {
+  echo "smoke_serve: resumed job timeline is not the killed run continued:" >&2
+  head -c 2000 "$workdir/job_events.ndjson" >&2
   exit 1
 }
 kill -TERM "$jpid"
