@@ -52,8 +52,8 @@ slo:
 
 # Distributed-job gate: run a 2×10⁸-trial job on one plain replica for
 # the reference bytes, rerun it across a coordinator + peer worker,
-# kill -9 the worker after its first shard upload, and require the
-# merged result byte-identical. Tune with DISTJOB_TRIALS=,
+# kill -9 the worker as it takes a lease after an accepted upload, and
+# require the merged result byte-identical. Tune with DISTJOB_TRIALS=,
 # DISTJOB_SHARDS= and DISTJOB_LEASE_TTL=.
 distjob:
 	./scripts/distjob_check.sh

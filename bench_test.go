@@ -707,3 +707,27 @@ func BenchmarkShardedMC(b *testing.B) {
 		b.ReportMetric(float64(b.N)*trials/secs, "trials/sec")
 	}
 }
+
+// BenchmarkLayoutDefectJob: the geometric defect kind through the
+// sharded engine, on the spec of fleetbench's jobs list (sram, 1.5
+// defects per die, 3×10⁵ trials, 16 shards), in trials per second. The
+// thrower's binned fatal test is the hot path.
+func BenchmarkLayoutDefectJob(b *testing.B) {
+	k, err := mcjob.NewLayoutDefectKernel(mcjob.LayoutDefectSpec{Style: "sram", MeanDefects: 1.5})
+	if err != nil {
+		b.Fatal(err)
+	}
+	const trials = 300_000
+	cfg := mcjob.RunConfig{Trials: trials, Shards: 16, Seed: 1}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := mcjob.Run(b.Context(), k, cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	if secs := b.Elapsed().Seconds(); secs > 0 {
+		b.ReportMetric(float64(b.N)*trials/secs, "trials/sec")
+	}
+}

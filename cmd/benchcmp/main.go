@@ -93,6 +93,7 @@ var defaultPinned = []string{
 	"BenchmarkEvalBatch1024",
 	"BenchmarkServeBatch1024",
 	"BenchmarkWaferMapSims",
+	"BenchmarkLayoutDefectJob",
 }
 
 // gates bundles the per-quantity thresholds. A regression fails only

@@ -2,6 +2,7 @@ package repro_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"flag"
 	"os"
@@ -9,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/experiments"
+	"repro/internal/mcjob"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/golden from the current code")
@@ -49,6 +51,7 @@ func TestGolden(t *testing.T) {
 			rows, _, err := experiments.MPUvsDRAM()
 			return rows, err
 		}},
+		{"layoutdefect", layoutDefectGolden},
 	}
 	for _, c := range cases {
 		t.Run(c.id, func(t *testing.T) {
@@ -87,4 +90,35 @@ func TestGolden(t *testing.T) {
 func figure4Golden(panel int) (any, error) {
 	curves, _, err := experiments.Figure4(experiments.Figure4Cases()[panel], 48)
 	return curves, err
+}
+
+// layoutDefectGolden runs the geometric defect Monte Carlo (mcjob's
+// layoutdefect kind) on every layout style under three defect size
+// distributions and two seeds. A change to the thrower that moves one
+// fatal-defect verdict moves a count here.
+func layoutDefectGolden() (any, error) {
+	type run struct {
+		Style  string       `json:"style"`
+		SizeX0 float64      `json:"size_x0,omitempty"`
+		SizeP  float64      `json:"size_p,omitempty"`
+		Result mcjob.Result `json:"result"`
+	}
+	var runs []run
+	for _, style := range []string{"sram", "datapath", "asic-tight", "asic-sparse"} {
+		for _, size := range [][2]float64{{0, 0}, {2, 3}, {8, 2.2}} {
+			for seed := uint64(1); seed <= 2; seed++ {
+				spec := mcjob.LayoutDefectSpec{Style: style, MeanDefects: 1.5, SizeX0: size[0], SizeP: size[1]}
+				k, err := mcjob.NewLayoutDefectKernel(spec)
+				if err != nil {
+					return nil, err
+				}
+				res, err := mcjob.Run(context.Background(), k, mcjob.RunConfig{Trials: 50_000, Shards: 4, Seed: seed})
+				if err != nil {
+					return nil, err
+				}
+				runs = append(runs, run{Style: style, SizeX0: size[0], SizeP: size[1], Result: res})
+			}
+		}
+	}
+	return runs, nil
 }

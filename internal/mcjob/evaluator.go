@@ -92,8 +92,15 @@ func (e *ShardEvaluator) EvalShard(ctx context.Context, s int) ([]Partial, error
 		parts = append(parts, pt)
 		// A replica evaluates shards on every core while it serves
 		// requests; yielding after each chunk lets a handler that is
-		// ready to run get a CPU within a chunk instead of at the next
-		// async preemption, up to 10 ms of compute later.
+		// already runnable get a CPU within a chunk instead of at the
+		// next async preemption, up to 10 ms of compute later. It does
+		// not make a new request runnable sooner. Gosched puts this
+		// goroutine on the global run queue, and while shard workers
+		// hold every P the scheduler takes work from that queue before
+		// it reaches its network poll, so sockets are polled only by
+		// sysmon, once the last poll is over 10 ms old. A request that
+		// arrives mid-job therefore waits up to ~10 ms to be seen
+		// (DESIGN §13, "Latency while a job runs").
 		runtime.Gosched()
 	}
 	return parts, nil

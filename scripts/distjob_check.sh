@@ -3,15 +3,15 @@
 # 2×10⁸-trial defect job on a single plain replica to record the
 # reference result bytes, then run the identical spec on a two-replica
 # tier — coordinator A (shard-lease coordinator + local worker) and
-# peer worker B pulling shards over HTTP — kill -9 worker B after its
-# first shard upload lands, and require the merged distributed result
-# byte-identical to the single-replica reference. The determinism
-# contract (fixed chunks on jump-ahead streams, canonical-order fold)
-# is what makes byte equality the correct bar; the kill proves expired
-# leases are reclaimed and re-run without disturbing it. The
-# coordinator's event timeline must then tell the same story: leases
-# granted to worker B, its partial accepted, its orphaned leases expired
-# and reclaimed after the kill, and the job completed.
+# peer worker B pulling shards over HTTP — kill -9 worker B as it takes
+# a lease after one of its shard uploads landed, and require the merged
+# distributed result byte-identical to the single-replica reference. The
+# determinism contract (fixed chunks on jump-ahead streams,
+# canonical-order fold) is what makes byte equality the correct bar; the
+# kill proves expired leases are reclaimed and re-run without disturbing
+# it. The coordinator's event timeline must then tell the same story:
+# leases granted to worker B, its partial accepted, its orphaned leases
+# expired and reclaimed after the kill, and the job completed.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -94,25 +94,46 @@ wait_addr "nanocostd listening" "$workdir/b.log" "$bpid" >/dev/null
 distid=$(submit "$aaddr")
 [ "$distid" = "$refid" ] || { echo "distjob_check: job id differs across replicas: $refid vs $distid" >&2; exit 1; }
 
-# The accepted-partials counter counts exactly the remote uploads, so
-# waiting for it to move proves worker B contributed real shards before
-# we kill it.
-echo "== wait for worker B's first shard upload, then kill -9 it mid-job ==" >&2
+# Kill worker B while it holds a lease. B re-leases only after its whole
+# batch is uploaded, so a kill timed by its first accepted upload can
+# land between batches, when B holds no lease and none can expire.
+# Instead follow the coordinator's timeline as NDJSON and kill B on its
+# first lease_acquired after one of its partial_accepted events: B has
+# then contributed real shards and holds a fresh lease nothing will
+# upload. follow_kill prints the number of B's accepted uploads when it
+# killed B, and nothing if the stream ended first (the server closes a
+# stream at its request timeout, so the caller follows again).
+follow_kill() {
+  curl -sN -H 'Accept: application/x-ndjson' "http://$aaddr/v1/jobs/$distid/events" | {
+    uploads=0
+    while IFS= read -r ev; do
+      case $ev in
+        *'"type":"partial_accepted","shard":'*',"owner":"worker-b"'*)
+          uploads=$((uploads + 1)) ;;
+        *'"type":"lease_acquired","shard":'*',"owner":"worker-b"'*)
+          if [ "$uploads" -ge 1 ]; then
+            kill -9 "$bpid"
+            echo "$uploads"
+            exit 0
+          fi ;;
+      esac
+    done
+  }
+}
+echo "== follow the job's events; kill -9 worker B on its first lease after an accepted upload ==" >&2
+uploads=""
 i=0
-accepted=0
-while [ $i -lt 600 ]; do
-  accepted=$(curl -sf "http://$aaddr/metrics" | sed -n 's/^nanocostd_job_partials_total{outcome="accepted"} //p')
-  [ "${accepted:-0}" -ge 1 ] 2>/dev/null && break
+while [ $i -lt 10 ]; do
+  uploads=$(follow_kill)
+  [ -n "$uploads" ] && break
   state=$(curl -sf "http://$aaddr/v1/jobs/$distid" | sed -n 's/.*"state":"\([a-z]*\)".*/\1/p')
-  [ "$state" = "running" ] || { echo "distjob_check: job finished ($state) before any remote upload — worker B never contributed" >&2; exit 1; }
+  [ "$state" = "running" ] || { echo "distjob_check: job finished ($state) before worker B took a lease after an accepted upload" >&2; cat "$workdir/b.log" >&2; exit 1; }
   i=$((i + 1))
-  sleep 0.1
 done
-[ "${accepted:-0}" -ge 1 ] || { echo "distjob_check: no remote shard upload within 60s" >&2; cat "$workdir/b.log" >&2; exit 1; }
-state=$(curl -sf "http://$aaddr/v1/jobs/$distid" | sed -n 's/.*"state":"\([a-z]*\)".*/\1/p')
-echo "distjob_check: worker B uploaded $accepted shard(s), job state=$state — killing B" >&2
-kill -9 "$bpid"
+[ -n "$uploads" ] || { echo "distjob_check: worker B took no lease after an accepted upload" >&2; cat "$workdir/b.log" >&2; exit 1; }
 bpid=""
+state=$(curl -sf "http://$aaddr/v1/jobs/$distid" | sed -n 's/.*"state":"\([a-z]*\)".*/\1/p')
+echo "distjob_check: killed worker B as it took a lease, after $uploads accepted upload(s); job state=$state" >&2
 
 state=$(wait_done "$aaddr" "$distid" 180)
 [ "$state" = "done" ] || { echo "distjob_check: distributed job ended '$state'" >&2; cat "$workdir/a.log" >&2; exit 1; }
