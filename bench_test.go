@@ -18,7 +18,6 @@ import (
 	"repro/internal/parallel"
 	"repro/internal/regularity"
 	"repro/internal/serve"
-	"repro/internal/stats"
 	"repro/internal/wafer"
 	"repro/internal/yield"
 )
@@ -112,8 +111,7 @@ func BenchmarkOptimalSd(b *testing.B) {
 func BenchmarkYieldModels(b *testing.B) {
 	lambdas := []float64{0.2, 0.6, 1.2}
 	for i := 0; i < b.N; i++ {
-		_, _, err := experiments.YieldModelComparison(lambdas, 1.0,
-			yield.SimConfig{DiePerWafer: 200, Wafers: 60, Seed: 1})
+		_, _, err := experiments.YieldModelComparison(lambdas, 1.0, 12_000, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -382,16 +380,6 @@ func BenchmarkGrossDieExact(b *testing.B) {
 	}
 }
 
-func BenchmarkMonteCarloYield(b *testing.B) {
-	cfg := yield.SimConfig{DiePerWafer: 400, Wafers: 50, Lambda: 0.8, ClusterAlpha: 1, Seed: 1}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := yield.Simulate(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkRegularityScan(b *testing.B) {
 	l, err := layout.GenerateRandomLogic(layout.RandomLogicConfig{
 		Cells: 400, RowUtil: 0.7, RouteTracks: 4, Seed: 2,
@@ -561,33 +549,6 @@ func benchSweep(b *testing.B, workers int) {
 func BenchmarkSweepSdSerial(b *testing.B)   { benchSweep(b, 1) }
 func BenchmarkSweepSdParallel(b *testing.B) { benchSweep(b, 0) }
 
-func benchDefectSim(b *testing.B, workers int) {
-	b.Helper()
-	l, err := layout.GenerateRandomLogic(layout.RandomLogicConfig{
-		Cells: 200, RowUtil: 0.7, RouteTracks: 4, Seed: 3,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := layout.DefectSimConfig{
-		Layer:       layout.Metal1,
-		MeanDefects: 2,
-		SizeSampler: func(r *stats.RNG) float64 { return r.Range(2, 10) },
-		Trials:      20000,
-		Seed:        11,
-		Workers:     workers,
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := layout.SimulateDefects(l, cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkDefectSimSerial(b *testing.B)   { benchDefectSim(b, 1) }
-func BenchmarkDefectSimParallel(b *testing.B) { benchDefectSim(b, 0) }
-
 // Throughput benchmarks for the arena-backed batch paths and the
 // vectorized wafer-map kernel. Each reports a custom metric
 // (evals/sec, sims/sec) via b.ReportMetric; cmd/benchcmp compares those
@@ -687,8 +648,8 @@ func BenchmarkWaferMapSims(b *testing.B) {
 // BenchmarkShardedMC: the sharded Monte Carlo engine end to end — shard
 // planning, the per-chunk stream walk, kernel evaluation across all
 // workers and the canonical-order merge — in trials per second on the
-// defect kernel. This is the giga-trial job path /v1/jobs and
-// yieldsim -shards run on.
+// defect kernel. This is the giga-trial job path /v1/jobs, yieldsim
+// and X-2 run on.
 func BenchmarkShardedMC(b *testing.B) {
 	k, err := mcjob.NewDefectKernel(mcjob.DefectSpec{Lambda: 1.1})
 	if err != nil {

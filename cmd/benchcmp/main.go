@@ -89,7 +89,6 @@ var defaultPinned = []string{
 	"BenchmarkCriticalArea",
 	"BenchmarkCritAreaAverage",
 	"BenchmarkWaferMap",
-	"BenchmarkMonteCarloYield",
 	"BenchmarkEvalBatch1024",
 	"BenchmarkServeBatch1024",
 	"BenchmarkWaferMapSims",

@@ -24,7 +24,6 @@ import (
 	"repro/internal/parallel"
 	"repro/internal/profiling"
 	"repro/internal/report"
-	"repro/internal/yield"
 )
 
 func main() {
@@ -133,8 +132,7 @@ func artifacts(ctx context.Context) []artifact {
 		{"x2", "yield models vs Monte Carlo", func(w io.Writer, csv bool) error {
 			_, fig, err := experiments.YieldModelComparison(
 				[]float64{0.1, 0.2, 0.4, 0.8, 1.2, 1.6, 2.4},
-				1.0,
-				yield.SimConfig{DiePerWafer: 400, Wafers: 200, Seed: 7})
+				1.0, 80_000, 7)
 			return emitFigure(w, fig, csv, err)
 		}},
 		{"x3", "FPGA utilization crossover", func(w io.Writer, csv bool) error {

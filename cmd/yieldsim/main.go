@@ -5,20 +5,25 @@
 //
 //	yieldsim -d0 0.5 -area 1.5 -alpha 0.8 -die 400 -wafers 300
 //
-// With -shards the die·wafers trials run through the sharded mcjob
-// engine instead of the single-pass simulator; -checkpoint persists
-// completed shards so a killed run resumes where it stopped. The
-// reported yield comes from the same per-trial draw law either way, and
-// the sharded result is independent of shard count, worker count and
-// resume history.
+// The die·wafers trials run through the sharded mcjob engine's defect
+// kind: a Poisson number of fatal defects per die, its rate drawn per
+// die from a gamma law when -alpha is set. -checkpoint persists
+// completed shards so a killed run resumes where it stopped; a rerun
+// over the same directory under any other flag than -workers is
+// refused. The result is independent of shard count, worker count and
+// resume history; only the "sharded run:" line names the shard count.
 package main
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"log/slog"
 	"os"
+	"sync"
 
 	"repro/internal/cliutil"
 	"repro/internal/mcjob"
@@ -38,8 +43,8 @@ func main() {
 		wafers     = flag.Int("wafers", 200, "wafers to simulate")
 		seed       = flag.Uint64("seed", 1, "RNG seed")
 		workers    = flag.Int("workers", 0, "simulation goroutines (0 = all cores); results are identical for any value")
-		shards     = flag.Int("shards", 0, "run through the sharded engine with this many shards (0 = single-pass simulator)")
-		checkpoint = flag.String("checkpoint", "", "checkpoint directory for the sharded engine (implies -shards 64 if -shards is unset)")
+		shards     = flag.Int("shards", 0, "shard count (0 = one per 8192-trial chunk, at most 64); results are identical for any value")
+		checkpoint = flag.String("checkpoint", "", "directory that keeps completed shards; a rerun with the same flags resumes from it")
 	)
 	o := &obs.Flags{}
 	o.RegisterFlags(flag.CommandLine)
@@ -54,12 +59,7 @@ func main() {
 		os.Exit(1)
 	}
 	_ = o.StartRoot(context.Background(), "yieldsim.run")
-	var err error
-	if *shards > 0 || *checkpoint != "" {
-		err = runSharded(*d0, *area, *alpha, *die, *wafers, *seed, *workers, *shards, *checkpoint)
-	} else {
-		err = run(*d0, *area, *alpha, *die, *wafers, *seed, *workers)
-	}
+	err := runSharded(os.Stdout, os.Stderr, *d0, *area, *alpha, *die, *wafers, *seed, *workers, *shards, *checkpoint)
 	o.Finish(os.Stderr)
 	if perr := prof.Stop(); perr != nil && err == nil {
 		err = perr
@@ -70,11 +70,11 @@ func main() {
 	}
 }
 
-// runSharded evaluates the same experiment through the sharded mcjob
-// engine: die·wafers independent die trials under the chosen yield law,
-// split into shards, optionally checkpointed. Progress goes to stderr,
-// the report to stdout.
-func runSharded(d0, area, alpha float64, die, wafers int, seed uint64, workers, shards int, checkpoint string) error {
+// runSharded evaluates the experiment through the sharded mcjob engine:
+// die·wafers independent die trials under the chosen yield law, split
+// into shards, optionally checkpointed. The report goes to w, a line
+// per completed shard to progress.
+func runSharded(w, progress io.Writer, d0, area, alpha float64, die, wafers int, seed uint64, workers, shards int, checkpoint string) error {
 	lambda, err := yield.Lambda(d0, area)
 	if err != nil {
 		return err
@@ -82,62 +82,40 @@ func runSharded(d0, area, alpha float64, die, wafers int, seed uint64, workers, 
 	if die <= 0 || wafers <= 0 {
 		return fmt.Errorf("die per wafer and wafers must be positive, got %d and %d", die, wafers)
 	}
-	if alpha < 0 {
-		return fmt.Errorf("cluster alpha must be non-negative, got %g", alpha)
-	}
-	k, err := mcjob.NewDefectKernel(mcjob.DefectSpec{Lambda: lambda, Alpha: alpha})
+	spec := mcjob.DefectSpec{Lambda: lambda, Alpha: alpha}
+	k, err := mcjob.NewDefectKernel(spec)
 	if err != nil {
 		return err
 	}
+	// The checkpoint manifest pins the law too, so a rerun under other
+	// -d0, -area or -alpha is refused rather than resumed.
+	specJSON, err := json.Marshal(spec)
+	if err != nil {
+		return err
+	}
+	var mu sync.Mutex // OnProgress may run on several workers at once
 	res, err := mcjob.Run(context.Background(), k, mcjob.RunConfig{
 		Trials:        int64(die) * int64(wafers),
 		Shards:        shards,
 		Seed:          seed,
 		Workers:       workers,
 		CheckpointDir: checkpoint,
+		SpecHash:      fmt.Sprintf("%x", sha256.Sum256(specJSON)),
 		OnProgress: func(p mcjob.Progress) {
-			fmt.Fprintf(os.Stderr, "shard %d/%d done (%d/%d trials)\n",
+			mu.Lock()
+			defer mu.Unlock()
+			fmt.Fprintf(progress, "shard %d/%d done (%d/%d trials)\n",
 				p.ShardsDone, p.Shards, p.TrialsDone, p.Trials)
 		},
 	})
 	if err != nil {
 		return err
 	}
-	good, total := res.Counts["good"], res.Trials
-	fmt.Printf("λ = D0·A = %s fatal defects/die\n", report.Num(lambda))
-	fmt.Printf("sharded run: %d shards, seed %d\n", res.Shards, res.Seed)
-	fmt.Printf("measured yield: %s ± %s  (%d/%d good die)\n\n",
-		report.Num(res.Values["yield"]), report.Num(res.Values["stderr"]), good, total)
-	printModelTable(lambda, alpha, res.Values["yield"])
-	return nil
-}
-
-func run(d0, area, alpha float64, die, wafers int, seed uint64, workers int) error {
-	lambda, err := yield.Lambda(d0, area)
-	if err != nil {
-		return err
-	}
-	res, err := yield.Simulate(yield.SimConfig{
-		DiePerWafer:  die,
-		Wafers:       wafers,
-		Lambda:       lambda,
-		ClusterAlpha: alpha,
-		Seed:         seed,
-		Workers:      workers,
-	})
-	if err != nil {
-		return err
-	}
-	fmt.Printf("λ = D0·A = %s fatal defects/die\n", report.Num(lambda))
-	fmt.Printf("measured yield: %s ± %s  (%d/%d good die)\n\n",
-		report.Num(res.Yield), report.Num(res.StdErr), res.GoodDie, res.TotalDie)
-	printModelTable(lambda, alpha, res.Yield)
-	return nil
-}
-
-// printModelTable renders the analytic-model comparison shared by both
-// run paths.
-func printModelTable(lambda, alpha, measured float64) {
+	good, total, measured := res.Counts["good"], res.Trials, res.Values["yield"]
+	fmt.Fprintf(w, "λ = D0·A = %s fatal defects/die\n", report.Num(lambda))
+	fmt.Fprintf(w, "sharded run: %d shards, seed %d\n", res.Shards, res.Seed)
+	fmt.Fprintf(w, "measured yield: %s ± %s  (%d/%d good die)\n\n",
+		report.Num(measured), report.Num(res.Values["stderr"]), good, total)
 	tbl := report.NewTable("analytic models", "model", "yield", "Δ vs measured")
 	models := []yield.Model{yield.Poisson{}, yield.Murphy{}, yield.Seeds{}}
 	if alpha > 0 {
@@ -147,5 +125,6 @@ func printModelTable(lambda, alpha, measured float64) {
 		y := m.Yield(lambda)
 		tbl.AddRow(m.Name(), y, y-measured)
 	}
-	fmt.Println(tbl.String())
+	fmt.Fprintln(w, tbl.String())
+	return nil
 }

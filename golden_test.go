@@ -43,12 +43,20 @@ func TestGolden(t *testing.T) {
 		}},
 		{"fig4a", func() (any, error) { return figure4Golden(0) }},
 		{"fig4b", func() (any, error) { return figure4Golden(1) }},
+		{"x2", func() (any, error) {
+			rows, _, err := experiments.YieldModelComparison([]float64{0.1, 0.2, 0.4, 0.8, 1.2, 1.6, 2.4}, 1.0, 80_000, 7)
+			return rows, err
+		}},
 		{"x3", func() (any, error) {
 			res, _, err := experiments.UtilizationCrossover(0.4, 10, 1e6, 32)
 			return res, err
 		}},
 		{"x18", func() (any, error) {
 			rows, _, err := experiments.MPUvsDRAM()
+			return rows, err
+		}},
+		{"x10", func() (any, error) {
+			rows, _, err := experiments.LayoutYieldStudy(3.0, 4000, 7)
 			return rows, err
 		}},
 		{"layoutdefect", layoutDefectGolden},

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/devices"
 	"repro/internal/stats"
-	"repro/internal/yield"
 )
 
 func TestTableA1Regeneration(t *testing.T) {
@@ -185,8 +184,7 @@ func TestOptimalSdVsVolumeMonotone(t *testing.T) {
 
 func TestYieldModelComparisonTracks(t *testing.T) {
 	lambdas := []float64{0.2, 0.6, 1.0, 1.6}
-	rows, fig, err := YieldModelComparison(lambdas, 1.0,
-		yield.SimConfig{DiePerWafer: 400, Wafers: 150, Seed: 21})
+	rows, fig, err := YieldModelComparison(lambdas, 1.0, 60_000, 21)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,11 +205,14 @@ func TestYieldModelComparisonTracks(t *testing.T) {
 			t.Errorf("λ=%v: clustered yield %v not above uniform %v", r.Lambda, r.MeasuredC, r.Measured)
 		}
 	}
-	if _, _, err := YieldModelComparison(nil, 1, yield.SimConfig{}); err == nil {
+	if _, _, err := YieldModelComparison(nil, 1, 100, 1); err == nil {
 		t.Fatal("accepted empty lambdas")
 	}
-	if _, _, err := YieldModelComparison(lambdas, 0, yield.SimConfig{}); err == nil {
+	if _, _, err := YieldModelComparison(lambdas, 0, 100, 1); err == nil {
 		t.Fatal("accepted zero alpha")
+	}
+	if _, _, err := YieldModelComparison(lambdas, 1, 0, 1); err == nil {
+		t.Fatal("accepted zero trials")
 	}
 }
 

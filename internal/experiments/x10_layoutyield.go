@@ -1,11 +1,12 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/layout"
+	"repro/internal/mcjob"
 	"repro/internal/report"
-	"repro/internal/stats"
 	"repro/internal/yield"
 )
 
@@ -75,13 +76,11 @@ func LayoutYieldStudy(meanDefects float64, trials int, seed uint64) ([]LayoutYie
 			return nil, nil, err
 		}
 		analytic := (yield.Poisson{}).Yield(meanDefects * critFrac)
-		res, err := layout.SimulateDefects(l, layout.DefectSimConfig{
-			Layer:       layout.Metal1,
-			MeanDefects: meanDefects,
-			SizeSampler: func(r *stats.RNG) float64 { return dist.Sample(r) },
-			Trials:      trials,
-			Seed:        seed + 13,
-		})
+		k, err := mcjob.NewLayoutKernel(l, meanDefects, dist)
+		if err != nil {
+			return nil, nil, err
+		}
+		res, err := mcjob.Run(context.Background(), k, mcjob.RunConfig{Trials: int64(trials), Seed: seed + 13})
 		if err != nil {
 			return nil, nil, err
 		}
@@ -89,7 +88,7 @@ func LayoutYieldStudy(meanDefects float64, trials int, seed uint64) ([]LayoutYie
 			Style: st.name, Sd: sd,
 			CriticalFrac:  critFrac,
 			AnalyticYield: analytic,
-			MeasuredYield: res.Yield, MeasuredStderr: res.StdErr,
+			MeasuredYield: res.Values["yield"], MeasuredStderr: res.Values["stderr"],
 		}
 		rows = append(rows, row)
 		tbl.AddRow(row.Style, row.Sd, row.CriticalFrac, row.AnalyticYield, row.MeasuredYield, row.MeasuredStderr)

@@ -1,8 +1,10 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
+	"repro/internal/mcjob"
 	"repro/internal/report"
 	"repro/internal/yield"
 )
@@ -20,37 +22,42 @@ type YieldComparisonRow struct {
 
 // YieldModelComparison runs the X-2 study: Monte Carlo yield (unclustered
 // and clustered at α) against the four analytic models over a sweep of
-// defects-per-die. Unclustered measurements track Poisson; clustered ones
-// track the negative binomial at the same α — the validation loop §3.1
-// says nanometer DfM needs.
-func YieldModelComparison(lambdas []float64, alpha float64, cfg yield.SimConfig) ([]YieldComparisonRow, *report.Figure, error) {
+// defects-per-die. Each point measures trials die through the sharded
+// engine's defect kind, a fresh gamma draw per die when clustered.
+// Unclustered measurements track Poisson; clustered ones track the
+// negative binomial at the same α — the validation loop §3.1 says
+// nanometer DfM needs.
+func YieldModelComparison(lambdas []float64, alpha float64, trials int, seed uint64) ([]YieldComparisonRow, *report.Figure, error) {
 	if len(lambdas) == 0 {
 		return nil, nil, fmt.Errorf("experiments: X-2 needs at least one lambda")
 	}
 	if alpha <= 0 {
 		return nil, nil, fmt.Errorf("experiments: X-2 clustering alpha must be positive, got %v", alpha)
 	}
+	measure := func(spec mcjob.DefectSpec, s uint64) (float64, error) {
+		k, err := mcjob.NewDefectKernel(spec)
+		if err != nil {
+			return 0, err
+		}
+		res, err := mcjob.Run(context.Background(), k, mcjob.RunConfig{Trials: int64(trials), Seed: s})
+		return res.Values["yield"], err
+	}
 	nb := yield.NegBinomial{Alpha: alpha}
 	var rows []YieldComparisonRow
 	for i, l := range lambdas {
-		plain := cfg
-		plain.Lambda = l
-		plain.ClusterAlpha = 0
-		plain.Seed = cfg.Seed + uint64(i)*7919
-		mp, err := yield.Simulate(plain)
+		s := seed + uint64(i)*7919
+		mp, err := measure(mcjob.DefectSpec{Lambda: l}, s)
 		if err != nil {
 			return nil, nil, err
 		}
-		clustered := plain
-		clustered.ClusterAlpha = alpha
-		mc, err := yield.Simulate(clustered)
+		mc, err := measure(mcjob.DefectSpec{Lambda: l, Alpha: alpha}, s)
 		if err != nil {
 			return nil, nil, err
 		}
 		rows = append(rows, YieldComparisonRow{
 			Lambda:    l,
-			Measured:  mp.Yield,
-			MeasuredC: mc.Yield,
+			Measured:  mp,
+			MeasuredC: mc,
 			Poisson:   (yield.Poisson{}).Yield(l),
 			Murphy:    (yield.Murphy{}).Yield(l),
 			Seeds:     (yield.Seeds{}).Yield(l),

@@ -41,7 +41,10 @@ func (c ExperienceCurve) UnitCost(n float64) (float64, error) {
 }
 
 // AverageCost returns the average unit cost over the first n units, via
-// the continuous approximation ∫₁ⁿ c(x) dx / n (exact closed form).
+// the continuous approximation ∫₁ⁿ c(x) dx / n (exact closed form). The
+// integral undercounts the first unit, so at small n it falls below the
+// n-th unit's cost, which no average of non-increasing unit costs can;
+// there AverageCost returns UnitCost(n).
 func (c ExperienceCurve) AverageCost(n float64) (float64, error) {
 	if err := c.Validate(); err != nil {
 		return 0, err
@@ -53,10 +56,13 @@ func (c ExperienceCurve) AverageCost(n float64) (float64, error) {
 	if n == 1 {
 		return c.FirstUnitCost, nil
 	}
+	var avg float64
 	if math.Abs(b+1) < 1e-12 {
-		return c.FirstUnitCost * math.Log(n) / n, nil
+		avg = c.FirstUnitCost * math.Log(n) / n
+	} else {
+		avg = c.FirstUnitCost * (math.Pow(n, b+1) - 1) / ((b + 1) * n)
 	}
-	return c.FirstUnitCost * (math.Pow(n, b+1) - 1) / ((b + 1) * n), nil
+	return math.Max(avg, c.FirstUnitCost*math.Pow(n, b)), nil
 }
 
 // MatureWaferCost combines the fabline amortization view with maturity and

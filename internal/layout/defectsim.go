@@ -1,63 +1,20 @@
 package layout
 
 import (
-	"context"
 	"fmt"
 	"math"
 
-	"repro/internal/parallel"
 	"repro/internal/stats"
 )
 
-// DefectSimConfig parameterizes the geometric defect Monte Carlo: spot
-// defects with random positions and sizes are thrown at the layout, and a
-// die is killed when a defect bridges two shapes (short) or severs a wire
-// (open) on the monitored layer. Unlike the abstract simulator in
-// internal/yield, this one works on the actual geometry, so its measured
-// yield validates the analytic critical-area model end to end.
-type DefectSimConfig struct {
-	Layer       Layer
-	MeanDefects float64                  // mean defects per die per Monte Carlo trial
-	SizeSampler func(*stats.RNG) float64 // defect diameter in λ; must be pure (called concurrently)
-	Trials      int
-	Seed        uint64
-	Workers     int // simulation goroutines; <= 0 uses parallel.DefaultWorkers
-}
-
-// Validate reports the first invalid field of c, or nil.
-func (c DefectSimConfig) Validate() error {
-	if c.MeanDefects < 0 {
-		return fmt.Errorf("layout: defect rate must be non-negative, got %v", c.MeanDefects)
-	}
-	if c.SizeSampler == nil {
-		return fmt.Errorf("layout: defect size sampler required")
-	}
-	if c.Trials <= 0 {
-		return fmt.Errorf("layout: trials must be positive, got %d", c.Trials)
-	}
-	return nil
-}
-
-// DefectSimResult reports a geometric yield measurement.
-type DefectSimResult struct {
-	Yield        float64
-	StdErr       float64
-	TrialsKilled int
-	Trials       int
-	MeanDefects  float64 // realized defects per trial
-}
-
-// defectSimChunk fixes the trial sharding granularity: chunk boundaries
-// and their RNG streams depend only on (Trials, Seed), so the measured
-// yield is bit-identical for every worker count.
-const defectSimChunk = 1024
-
-// DefectThrower is the prepared chunk-at-a-time kernel behind
-// SimulateDefects: layout geometry flattened and binned once, exp(-mean)
-// hoisted once, ready to evaluate any number of independent trial
-// chunks. The sharded job engine (internal/mcjob) uses it to spread one
-// giga-trial geometric simulation over shards; SimulateDefects drives it
-// through the in-process worker pool.
+// DefectThrower is the geometric defect Monte Carlo, one chunk of trials
+// at a time: spot defects with random positions and sizes are thrown at
+// the layout, and a die is killed when a defect bridges two shapes
+// (short) or severs a wire (open) on the monitored layer. Working on the
+// actual geometry, its measured yield validates the analytic
+// critical-area model end to end. The geometry is flattened and binned
+// once and exp(-mean) hoisted once, ready for any number of independent
+// trial chunks; the sharded job engine (internal/mcjob) drives it.
 type DefectThrower struct {
 	flat    []float64
 	grid    rectGrid
@@ -99,9 +56,8 @@ func NewDefectThrower(l *Layout, layer Layer, meanDefects float64, sampler func(
 
 // Throw evaluates trials die drawn from r: per die a Poisson number of
 // defects land uniformly on the bounding box with sampled diameters, and
-// the die is killed if any defect is fatal per IsFatal. The stream is
-// consumed in exactly SimulateDefects' per-trial order, so a chunk
-// evaluated here is bit-identical to the same chunk inside a full run.
+// the die is killed if any defect is fatal per IsFatal. The result
+// depends only on the thrower and the draws taken from r.
 func (dt *DefectThrower) Throw(r *stats.RNG, trials int) (killed, defects int) {
 	for t := 0; t < trials; t++ {
 		n := r.PoissonL(dt.mean, dt.expMean)
@@ -121,57 +77,6 @@ func (dt *DefectThrower) Throw(r *stats.RNG, trials int) (killed, defects int) {
 	}
 	return killed, defects
 }
-
-// SimulateDefects runs the geometric Monte Carlo: per trial (die), a
-// Poisson number of defects land uniformly on the bounding box with
-// sampled diameters; the die dies if any defect is fatal per IsFatal.
-// Trials are sharded into fixed chunks, each driven by its own
-// guaranteed-disjoint RNG sub-stream (stats.RNG.SplitN) and evaluated on
-// the worker pool; tallies fold in chunk order, so the result depends
-// only on the config.
-func SimulateDefects(l *Layout, c DefectSimConfig) (DefectSimResult, error) {
-	if err := l.Validate(); err != nil {
-		return DefectSimResult{}, err
-	}
-	if err := c.Validate(); err != nil {
-		return DefectSimResult{}, err
-	}
-	thrower, err := NewDefectThrower(l, c.Layer, c.MeanDefects, c.SizeSampler)
-	if err != nil {
-		return DefectSimResult{}, err
-	}
-	chunks := parallel.Chunks(c.Trials, defectSimChunk)
-	streams := stats.NewRNG(c.Seed).SplitN(chunks)
-	type tally struct{ killed, defects int }
-	counts := make([]tally, chunks)
-	err = parallel.ForEachChunkTuned(context.Background(), c.Trials, defectSimChunk, c.Workers, &defectSimTuner, func(chunk, lo, hi int) error {
-		k, d := thrower.Throw(streams[chunk], hi-lo)
-		counts[chunk] = tally{killed: k, defects: d}
-		return nil
-	})
-	if err != nil {
-		return DefectSimResult{}, err
-	}
-	var killed, totalDefects int
-	for _, t := range counts {
-		killed += t.killed
-		totalDefects += t.defects
-	}
-	res := DefectSimResult{
-		Trials: c.Trials, TrialsKilled: killed,
-		Yield:       1 - float64(killed)/float64(c.Trials),
-		MeanDefects: float64(totalDefects) / float64(c.Trials),
-	}
-	// Binomial standard error of the yield estimate.
-	p := res.Yield
-	res.StdErr = math.Sqrt(p * (1 - p) / float64(c.Trials))
-	return res, nil
-}
-
-// defectSimTuner adapts how many trial chunks one scheduled task covers.
-// Grouping never moves a chunk's RNG stream or bounds, so the measured
-// yield cannot depend on it.
-var defectSimTuner parallel.ChunkTuner
 
 // flattenRects converts rect corners to a flat float64 buffer, four
 // values per rect in (x0, y0, x1, y1) order, for the simulation hot loop.

@@ -2,6 +2,7 @@ package layout
 
 import (
 	"math"
+	"sync"
 	"testing"
 
 	"repro/internal/stats"
@@ -47,6 +48,17 @@ func TestIsFatalOpen(t *testing.T) {
 	}
 }
 
+// throw prepares a thrower on l's layer and throws trials die from one
+// seeded stream.
+func throw(t *testing.T, l *Layout, layer Layer, mean float64, sampler func(*stats.RNG) float64, trials int, seed uint64) (killed, defects int) {
+	t.Helper()
+	dt, err := NewDefectThrower(l, layer, mean, sampler)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return dt.Throw(stats.NewRNG(seed), trials)
+}
+
 func TestSimulateDefectsMatchesCriticalArea(t *testing.T) {
 	// Two parallel wires, fixed defect size: the analytic fatal area is
 	// shorts + opens from critarea.go; the Monte Carlo kill probability
@@ -64,37 +76,24 @@ func TestSimulateDefectsMatchesCriticalArea(t *testing.T) {
 	}
 	fatalFraction := (shorts + opens) / float64(l.AreaLambda2())
 
-	const meanDefects = 2.0
-	res, err := SimulateDefects(l, DefectSimConfig{
-		Layer:       Metal1,
-		MeanDefects: meanDefects,
-		SizeSampler: fixedSize(size),
-		Trials:      40000,
-		Seed:        77,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	const meanDefects, trials = 2.0, 40000
+	killed, defects := throw(t, l, Metal1, meanDefects, fixedSize(size), trials, 77)
+	got := float64(trials-killed) / trials
+	stderr := math.Sqrt(got * (1 - got) / trials)
 	want := math.Exp(-meanDefects * fatalFraction)
-	if math.Abs(res.Yield-want) > 4*res.StdErr+0.01 {
+	if math.Abs(got-want) > 4*stderr+0.01 {
 		t.Fatalf("measured yield %v ± %v, analytic Poisson(λ=%v) = %v",
-			res.Yield, res.StdErr, meanDefects*fatalFraction, want)
+			got, stderr, meanDefects*fatalFraction, want)
 	}
-	if math.Abs(res.MeanDefects-meanDefects) > 0.05 {
-		t.Fatalf("realized defect rate %v, want %v", res.MeanDefects, meanDefects)
+	if mean := float64(defects) / trials; math.Abs(mean-meanDefects) > 0.05 {
+		t.Fatalf("realized defect rate %v, want %v", mean, meanDefects)
 	}
 }
 
 func TestSimulateDefectsZeroRate(t *testing.T) {
-	l := twoWires(4)
-	res, err := SimulateDefects(l, DefectSimConfig{
-		Layer: Metal1, MeanDefects: 0, SizeSampler: fixedSize(6), Trials: 100, Seed: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Yield != 1 || res.TrialsKilled != 0 {
-		t.Fatalf("zero defects killed dies: %+v", res)
+	killed, defects := throw(t, twoWires(4), Metal1, 0, fixedSize(6), 100, 1)
+	if killed != 0 || defects != 0 {
+		t.Fatalf("zero rate threw %d defects and killed %d die", defects, killed)
 	}
 }
 
@@ -103,76 +102,66 @@ func TestSimulateDefectsBiggerDefectsKillMore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func(size float64) float64 {
-		res, err := SimulateDefects(l, DefectSimConfig{
-			Layer: Metal2, MeanDefects: 3, SizeSampler: fixedSize(size), Trials: 4000, Seed: 9,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.Yield
+	killedAt := func(size float64) int {
+		killed, _ := throw(t, l, Metal2, 3, fixedSize(size), 4000, 9)
+		return killed
 	}
-	small, big := run(1.5), run(8)
-	if big >= small {
-		t.Fatalf("bigger defects did not reduce yield: %v vs %v", big, small)
+	small, big := killedAt(1.5), killedAt(8)
+	if big <= small {
+		t.Fatalf("bigger defects did not kill more die: %d vs %d", big, small)
 	}
 }
 
 func TestSimulateDefectsDeterministic(t *testing.T) {
 	l := twoWires(4)
-	cfg := DefectSimConfig{Layer: Metal1, MeanDefects: 1, SizeSampler: fixedSize(5), Trials: 500, Seed: 3}
-	a, err := SimulateDefects(l, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := SimulateDefects(l, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a != b {
-		t.Fatal("same seed, different results")
+	k1, d1 := throw(t, l, Metal1, 1, fixedSize(5), 500, 3)
+	k2, d2 := throw(t, l, Metal1, 1, fixedSize(5), 500, 3)
+	if k1 != k2 || d1 != d2 {
+		t.Fatalf("same seed, different results: %d/%d vs %d/%d", k1, d1, k2, d2)
 	}
 }
 
 func TestSimulateDefectsValidation(t *testing.T) {
 	l := twoWires(4)
-	if _, err := SimulateDefects(l, DefectSimConfig{Layer: Metal1, MeanDefects: -1, SizeSampler: fixedSize(1), Trials: 10}); err == nil {
+	if _, err := NewDefectThrower(l, Metal1, -1, fixedSize(1)); err == nil {
 		t.Fatal("accepted negative rate")
 	}
-	if _, err := SimulateDefects(l, DefectSimConfig{Layer: Metal1, MeanDefects: 1, Trials: 10}); err == nil {
+	if _, err := NewDefectThrower(l, Metal1, 1, nil); err == nil {
 		t.Fatal("accepted nil sampler")
 	}
-	if _, err := SimulateDefects(l, DefectSimConfig{Layer: Metal1, MeanDefects: 1, SizeSampler: fixedSize(1), Trials: 0}); err == nil {
-		t.Fatal("accepted zero trials")
-	}
 	bad := &Layout{Name: "b", Width: 0, Height: 1}
-	if _, err := SimulateDefects(bad, DefectSimConfig{Layer: Metal1, MeanDefects: 1, SizeSampler: fixedSize(1), Trials: 10}); err == nil {
+	if _, err := NewDefectThrower(bad, Metal1, 1, fixedSize(1)); err == nil {
 		t.Fatal("accepted invalid layout")
 	}
 }
 
+// TestSimulateDefectsDeterministicAcrossWorkers throws chunks from
+// disjoint streams on one shared thrower, all at once, and requires the
+// tallies of a serial pass: Throw keeps no state between calls.
 func TestSimulateDefectsDeterministicAcrossWorkers(t *testing.T) {
-	l := twoWires(4)
-	cfg := DefectSimConfig{
-		Layer:       Metal1,
-		MeanDefects: 2.0,
-		SizeSampler: func(r *stats.RNG) float64 { return r.Range(2, 8) },
-		Trials:      5000,
-		Seed:        23,
-	}
-	cfg.Workers = 1
-	ref, err := SimulateDefects(l, cfg)
+	dt, err := NewDefectThrower(twoWires(4), Metal1, 2.0, func(r *stats.RNG) float64 { return r.Range(2, 8) })
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{2, 4, 8} {
-		cfg.Workers = workers
-		got, err := SimulateDefects(l, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != ref {
-			t.Fatalf("workers=%d: %+v, serial %+v", workers, got, ref)
+	const chunks, trials = 8, 1024
+	type tally struct{ killed, defects int }
+	serial := make([]tally, chunks)
+	for c, r := range stats.NewRNG(23).SplitN(chunks) {
+		serial[c].killed, serial[c].defects = dt.Throw(r, trials)
+	}
+	concurrent := make([]tally, chunks)
+	var wg sync.WaitGroup
+	for c, r := range stats.NewRNG(23).SplitN(chunks) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			concurrent[c].killed, concurrent[c].defects = dt.Throw(r, trials)
+		}()
+	}
+	wg.Wait()
+	for c := range serial {
+		if concurrent[c] != serial[c] {
+			t.Fatalf("chunk %d: concurrent %+v, serial %+v", c, concurrent[c], serial[c])
 		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"repro/internal/parallel"
 	"repro/internal/stats"
 )
 
@@ -148,31 +147,24 @@ func FuzzDefectIndexMatchesIsFatal(f *testing.F) {
 	})
 }
 
-// scalarSimulateDefects is the pre-vectorization hot loop: IsFatal on the
-// int rects, exp recomputed inside every Poisson draw, serial chunks.
-func scalarSimulateDefects(l *Layout, c DefectSimConfig) (killed, defects int) {
-	rects := l.LayerRects(c.Layer)
-	chunks := parallel.Chunks(c.Trials, defectSimChunk)
-	streams := stats.NewRNG(c.Seed).SplitN(chunks)
-	for chunk := 0; chunk < chunks; chunk++ {
-		r := streams[chunk]
-		lo := chunk * defectSimChunk
-		hi := min(lo+defectSimChunk, c.Trials)
-		for t := lo; t < hi; t++ {
-			n := r.Poisson(c.MeanDefects)
-			defects += n
-			dead := false
-			for d := 0; d < n && !dead; d++ {
-				x := r.Range(0, float64(l.Width))
-				y := r.Range(0, float64(l.Height))
-				size := c.SizeSampler(r)
-				if IsFatal(rects, x, y, size) {
-					dead = true
-				}
+// scalarThrow is the thrower's reference: IsFatal on the int rects and
+// exp recomputed inside every Poisson draw.
+func scalarThrow(l *Layout, layer Layer, mean float64, sampler func(*stats.RNG) float64, r *stats.RNG, trials int) (killed, defects int) {
+	rects := l.LayerRects(layer)
+	for t := 0; t < trials; t++ {
+		n := r.Poisson(mean)
+		defects += n
+		dead := false
+		for d := 0; d < n && !dead; d++ {
+			x := r.Range(0, float64(l.Width))
+			y := r.Range(0, float64(l.Height))
+			size := sampler(r)
+			if IsFatal(rects, x, y, size) {
+				dead = true
 			}
-			if dead {
-				killed++
-			}
+		}
+		if dead {
+			killed++
 		}
 	}
 	return killed, defects
@@ -180,64 +172,10 @@ func scalarSimulateDefects(l *Layout, c DefectSimConfig) (killed, defects int) {
 
 func TestSimulateDefectsMatchesScalarReference(t *testing.T) {
 	l := twoWires(4)
-	cfg := DefectSimConfig{
-		Layer:       Metal1,
-		MeanDefects: 2.0,
-		SizeSampler: func(r *stats.RNG) float64 { return r.Range(2, 8) },
-		Trials:      20000,
-		Seed:        31,
-	}
-	killed, defects := scalarSimulateDefects(l, cfg)
-	res, err := SimulateDefects(l, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.TrialsKilled != killed {
-		t.Fatalf("killed %d, scalar %d", res.TrialsKilled, killed)
-	}
-	wantMean := float64(defects) / float64(cfg.Trials)
-	if math.Float64bits(res.MeanDefects) != math.Float64bits(wantMean) {
-		t.Fatalf("mean defects %x, scalar %x", res.MeanDefects, wantMean)
-	}
-}
-
-func TestSimulateDefectsDeterministicAcrossWorkersAndTunerRegimes(t *testing.T) {
-	l := twoWires(4)
-	cfg := DefectSimConfig{
-		Layer:       Metal1,
-		MeanDefects: 1.5,
-		SizeSampler: func(r *stats.RNG) float64 { return r.Range(2, 8) },
-		Trials:      30000,
-		Seed:        7,
-		Workers:     1,
-	}
-	defectSimTuner.Reset()
-	ref, err := SimulateDefects(l, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer defectSimTuner.Reset()
-	regimes := []struct {
-		name  string
-		apply func()
-	}{
-		{"cold", func() { defectSimTuner.Reset() }},
-		{"heavy", func() { defectSimTuner.Reset(); defectSimTuner.Observe(1, 10e-3) }},
-		{"light", func() { defectSimTuner.Reset(); defectSimTuner.Observe(100000, 1e-3) }},
-	}
-	for _, rg := range regimes {
-		for _, workers := range []int{1, 2, 4} {
-			rg.apply()
-			cfg.Workers = workers
-			got, err := SimulateDefects(l, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got.TrialsKilled != ref.TrialsKilled ||
-				math.Float64bits(got.MeanDefects) != math.Float64bits(ref.MeanDefects) ||
-				math.Float64bits(got.Yield) != math.Float64bits(ref.Yield) {
-				t.Fatalf("regime %s workers %d: %+v, want %+v", rg.name, workers, got, ref)
-			}
-		}
+	sampler := func(r *stats.RNG) float64 { return r.Range(2, 8) }
+	wantKilled, wantDefects := scalarThrow(l, Metal1, 2.0, sampler, stats.NewRNG(31), 20000)
+	killed, defects := throw(t, l, Metal1, 2.0, sampler, 20000, 31)
+	if killed != wantKilled || defects != wantDefects {
+		t.Fatalf("killed/defects %d/%d, scalar %d/%d", killed, defects, wantKilled, wantDefects)
 	}
 }

@@ -154,31 +154,37 @@ func buildStyleLayout(s LayoutDefectSpec) (*layout.Layout, error) {
 }
 
 type layoutDefectKernel struct {
-	spec    LayoutDefectSpec
 	thrower *layout.DefectThrower
 }
 
-// NewLayoutDefectKernel validates the spec, generates the layout and
-// prepares the thrower.
+// NewLayoutDefectKernel validates the spec, generates the style's layout
+// and prepares its kernel with NewLayoutKernel.
 func NewLayoutDefectKernel(s LayoutDefectSpec) (Kernel, error) {
 	if s.SizeX0 == 0 && s.SizeP == 0 {
 		d := yield.DefaultDefectSizeDist(1)
 		s.SizeX0, s.SizeP = d.X0, d.P
 	}
-	dist := yield.DefectSizeDist{X0: s.SizeX0, P: s.SizeP}
-	if err := dist.Validate(); err != nil {
-		return nil, err
-	}
 	l, err := buildStyleLayout(s)
 	if err != nil {
 		return nil, err
 	}
-	thrower, err := layout.NewDefectThrower(l, layout.Metal1, s.MeanDefects,
+	return NewLayoutKernel(l, s.MeanDefects, yield.DefectSizeDist{X0: s.SizeX0, P: s.SizeP})
+}
+
+// NewLayoutKernel prepares the layoutdefect kind on any layout: each
+// trial throws a Poisson number of spot defects, meanDefects per die on
+// average, with diameters drawn from dist, at the layout's metal1
+// shapes.
+func NewLayoutKernel(l *layout.Layout, meanDefects float64, dist yield.DefectSizeDist) (Kernel, error) {
+	if err := dist.Validate(); err != nil {
+		return nil, err
+	}
+	thrower, err := layout.NewDefectThrower(l, layout.Metal1, meanDefects,
 		func(r *stats.RNG) float64 { return dist.Sample(r) })
 	if err != nil {
 		return nil, err
 	}
-	return &layoutDefectKernel{spec: s, thrower: thrower}, nil
+	return &layoutDefectKernel{thrower: thrower}, nil
 }
 
 func (k *layoutDefectKernel) Kind() string       { return "layoutdefect" }

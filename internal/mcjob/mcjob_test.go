@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/layout"
 	"repro/internal/yield"
 )
 
@@ -338,23 +339,32 @@ func TestShardCountNormalization(t *testing.T) {
 	}
 }
 
+// TestDefectKernelStatisticalSanity holds the unclustered defect kind to
+// Poisson, exp(-λ), within 4σ at 2²⁰ trials, and its realized mean rate
+// to λ. yield's TestSimulateMatchesNegBinomial holds the clustered kind
+// to the negative binomial.
 func TestDefectKernelStatisticalSanity(t *testing.T) {
-	// Unclustered Poisson yield is exp(-λ); 10⁶ trials pin it to ~4σ.
-	k, err := NewDefectKernel(DefectSpec{Lambda: 0.7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := Run(context.Background(), k, RunConfig{Trials: 1 << 20, Shards: 16, Workers: 4, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := math.Exp(-0.7)
-	if got := res.Values["yield"]; math.Abs(got-want) > 4*res.Values["stderr"] {
-		t.Fatalf("yield %v too far from exp(-λ) = %v (stderr %v)", got, want, res.Values["stderr"])
-	}
-	if res.Counts["good"] <= 0 || res.Counts["defects"] <= 0 {
-		t.Fatalf("counts not populated: %v", res.Counts)
-	}
+	t.Run("poisson", func(t *testing.T) {
+		const lambda = 0.7
+		k, err := NewDefectKernel(DefectSpec{Lambda: lambda})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := Run(context.Background(), k, RunConfig{Trials: 1 << 20, Shards: 16, Workers: 4, Seed: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := math.Exp(-lambda)
+		if got := res.Values["yield"]; math.Abs(got-want) > 4*res.Values["stderr"] {
+			t.Fatalf("yield %v too far from exp(-λ) = %v (stderr %v)", got, want, res.Values["stderr"])
+		}
+		if mean := res.Values["mean_lambda"]; math.Abs(mean-lambda) > 0.01*lambda {
+			t.Fatalf("realized mean rate %v, want %v", mean, lambda)
+		}
+		if res.Counts["good"] <= 0 || res.Counts["defects"] <= 0 {
+			t.Fatalf("counts not populated: %v", res.Counts)
+		}
+	})
 }
 
 func TestProgressAccounting(t *testing.T) {
@@ -389,6 +399,9 @@ func TestKernelSpecValidation(t *testing.T) {
 	if _, err := NewDefectKernel(DefectSpec{Lambda: math.NaN()}); err == nil {
 		t.Fatal("accepted NaN lambda")
 	}
+	if _, err := NewDefectKernel(DefectSpec{Lambda: 1, Alpha: -1}); err == nil {
+		t.Fatal("accepted negative alpha")
+	}
 	if _, err := NewLayoutDefectKernel(LayoutDefectSpec{Style: "nope", MeanDefects: 1}); err == nil {
 		t.Fatal("accepted unknown style")
 	}
@@ -397,6 +410,9 @@ func TestKernelSpecValidation(t *testing.T) {
 	}
 	if _, err := NewLayoutDefectKernel(LayoutDefectSpec{Style: "sram", MeanDefects: 1, SizeX0: -2, SizeP: 3}); err == nil {
 		t.Fatal("accepted negative size peak")
+	}
+	if _, err := NewLayoutKernel(&layout.Layout{Name: "empty"}, 1, yield.DefaultDefectSizeDist(1)); err == nil {
+		t.Fatal("accepted a layout with no area")
 	}
 	if _, err := NewCostKernel(core.UncertainScenario{}); err == nil {
 		t.Fatal("accepted zero scenario")

@@ -15,8 +15,11 @@ import (
 //   - chunk execution: the fn(chunk) call itself.
 //
 // Observation happens once per chunk, not per item, so the cost is
-// amortized over chunkSize items and cannot perturb the engine's
-// determinism contract (timing is recorded, never used for scheduling).
+// amortized over chunkSize items. Timing does steer scheduling in one
+// place: a cold ChunkTuner seeds its grouping from the execution
+// histogram's mean (ChunkTuner.Group). Grouping sets only how many unit
+// chunks one task covers, never a chunk's bounds or RNG stream, so it
+// cannot perturb the engine's determinism contract.
 var (
 	chunkWaitSeconds = obs.NewHistogram(obs.DurationBuckets)
 	chunkExecSeconds = obs.NewHistogram(obs.DurationBuckets)

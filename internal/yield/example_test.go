@@ -21,21 +21,6 @@ func ExampleModel() {
 	// negbinomial(α=2)  0.4444
 }
 
-// Monte Carlo measurement against the matching analytic model.
-func ExampleSimulate() {
-	res, err := yield.Simulate(yield.SimConfig{
-		DiePerWafer: 400, Wafers: 200, Lambda: 0.8, Seed: 1,
-	})
-	if err != nil {
-		fmt.Println(err)
-		return
-	}
-	analytic := (yield.Poisson{}).Yield(0.8)
-	fmt.Printf("measured %.3f vs Poisson %.3f\n", res.Yield, analytic)
-	// Output:
-	// measured 0.450 vs Poisson 0.449
-}
-
 // Redundancy repair (ref [32]): spares rescue a dense fabric.
 func ExampleRedundancy_Yield() {
 	raw := (yield.Poisson{}).Yield(3)

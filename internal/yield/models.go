@@ -1,10 +1,10 @@
 // Package yield implements the manufacturing-yield substrate the paper's
 // cost models consume: the classical analytic yield models (Poisson,
-// Murphy, Seeds, negative binomial), multi-layer composition, yield
-// learning curves, defect size distributions with critical-area averaging,
-// and a Monte Carlo defect simulator that measures yield directly so the
-// analytic models can be validated against it (the DfM modeling capability
-// §3.1 calls for).
+// Murphy, Seeds, negative binomial), defect size distributions with
+// critical-area averaging, redundancy repair and a spatial wafer-map
+// simulator. The die-level Monte Carlo that measures yield directly, so
+// the analytic models can be validated against it (the DfM modeling
+// capability §3.1 calls for), is internal/mcjob's defect kind.
 package yield
 
 import (

@@ -112,72 +112,6 @@ func TestSimulateWaferMapMatchesScalarReference(t *testing.T) {
 	}
 }
 
-// scalarSimulate is the pre-vectorization Simulate hot loop: per-die
-// branch re-tests, no hoisted rate, exp recomputed per Poisson draw.
-func scalarSimulate(c SimConfig) (good, total int, lambdaSum float64) {
-	for w := 0; w < c.Wafers; w++ {
-		r := stats.NewRNG(stats.StreamSeed(c.Seed, uint64(w)))
-		waferScale := 1.0
-		if c.ClusterAlpha > 0 && c.WaferToWafer {
-			waferScale = r.Gamma(c.ClusterAlpha, 1/c.ClusterAlpha)
-		}
-		// Per-wafer accumulator folded in wafer order, exactly like the
-		// engine's tally fold — the summation order is part of the
-		// bit-identity contract.
-		var waferSum float64
-		for d := 0; d < c.DiePerWafer; d++ {
-			rate := c.Lambda * waferScale
-			if c.ClusterAlpha > 0 && !c.WaferToWafer {
-				rate = c.Lambda * r.Gamma(c.ClusterAlpha, 1/c.ClusterAlpha)
-			}
-			if c.SpatialRadius > 0 {
-				rho2 := r.Float64()
-				rate *= 1 + c.SpatialRadius*(2*rho2-1)
-			}
-			if rate < 0 {
-				rate = 0
-			}
-			waferSum += rate
-			if r.Poisson(rate) == 0 {
-				good++
-			}
-		}
-		lambdaSum += waferSum
-		total += c.DiePerWafer
-	}
-	return good, total, lambdaSum
-}
-
-func TestSimulateMatchesScalarReference(t *testing.T) {
-	base := SimConfig{DiePerWafer: 200, Wafers: 30, Lambda: 0.8, Seed: 23}
-	cases := []struct {
-		name string
-		mod  func(*SimConfig)
-	}{
-		{"plain-poisson", func(c *SimConfig) {}},
-		{"wafer-cluster", func(c *SimConfig) { c.ClusterAlpha = 0.6; c.WaferToWafer = true }},
-		{"die-cluster", func(c *SimConfig) { c.ClusterAlpha = 0.6 }},
-		{"spatial", func(c *SimConfig) { c.SpatialRadius = 0.4 }},
-		{"everything", func(c *SimConfig) { c.ClusterAlpha = 1.1; c.WaferToWafer = true; c.SpatialRadius = 0.3 }},
-	}
-	for _, tc := range cases {
-		c := base
-		tc.mod(&c)
-		good, total, lambdaSum := scalarSimulate(c)
-		res, err := Simulate(c)
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
-		if res.GoodDie != good || res.TotalDie != total {
-			t.Fatalf("%s: good/total = %d/%d, scalar %d/%d", tc.name, res.GoodDie, res.TotalDie, good, total)
-		}
-		wantMean := lambdaSum / float64(total)
-		if math.Float64bits(res.MeanLambda) != math.Float64bits(wantMean) {
-			t.Fatalf("%s: mean lambda %x, scalar %x", tc.name, res.MeanLambda, wantMean)
-		}
-	}
-}
-
 func TestSimulateWaferMapDeterministicAcrossWorkersAndTunerRegimes(t *testing.T) {
 	c := mapConfig()
 	c.ClusterAlpha = 0.7
