@@ -14,6 +14,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/layout"
+	"repro/internal/maskcost"
 	"repro/internal/mcjob"
 	"repro/internal/parallel"
 	"repro/internal/regularity"
@@ -177,13 +178,20 @@ func BenchmarkMaskAmortization(b *testing.B) {
 	}
 }
 
+// layoutDensitySeed is the last seed BenchmarkLayoutDensity timed. The
+// study memoizes its rows per seed, so every timed iteration, across
+// b.N rounds and -count runs, takes a seed nothing in the process has
+// used, above the small seeds the figures and tests use.
+var layoutDensitySeed uint64 = 1 << 32
+
 func BenchmarkLayoutDensity(b *testing.B) {
-	if _, _, err := experiments.LayoutDensityStudy(1); err != nil { // warm pools + style layouts
+	if _, _, err := experiments.LayoutDensityStudy(0); err != nil { // warm pools + style layouts
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rows, _, err := experiments.LayoutDensityStudy(uint64(i + 1))
+		layoutDensitySeed++
+		rows, _, err := experiments.LayoutDensityStudy(layoutDensitySeed)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -690,5 +698,67 @@ func BenchmarkLayoutDefectJob(b *testing.B) {
 	b.StopTimer()
 	if secs := b.Elapsed().Seconds(); secs > 0 {
 		b.ReportMetric(float64(b.N)*trials/secs, "trials/sec")
+	}
+}
+
+// BenchmarkJobKernels times each kernel kind alone: the kernel layer of
+// fleetbench's jobs workload, on the exact specs of its job list at seed
+// 1. Every shard of a 16-shard plan is evaluated through
+// ShardEvaluator.EvalShard on one goroutine, reported in ns per trial;
+// no scheduling, upload, merge or checkpoint is timed.
+func BenchmarkJobKernels(b *testing.B) {
+	mask, err := maskcost.DefaultModel().SetCost(0.18)
+	if err != nil {
+		b.Fatal(err)
+	}
+	costBase := core.Scenario{
+		Process:    core.Process{LambdaUM: 0.18, CostPerCM2: 8, Yield: 0.6, WaferAreaCM2: 300},
+		Design:     core.Design{Transistors: 1e7, Sd: 300},
+		DesignCost: core.DefaultDesignCostModel(),
+		MaskCost:   mask,
+		Wafers:     5000,
+	}
+	const wafers = 2_000
+	jobs := []struct {
+		kind   string
+		trials int64
+		kernel func() (mcjob.Kernel, error)
+	}{
+		{"defect", 40_000_000, func() (mcjob.Kernel, error) {
+			return mcjob.NewDefectKernel(mcjob.DefectSpec{Lambda: 0.9})
+		}},
+		{"layoutdefect", 300_000, func() (mcjob.Kernel, error) {
+			return mcjob.NewLayoutDefectKernel(mcjob.LayoutDefectSpec{Style: "sram", MeanDefects: 1.5})
+		}},
+		{"montecarlo", 4_000_000, func() (mcjob.Kernel, error) {
+			return mcjob.NewCostKernel(core.UncertainScenario{Base: costBase,
+				Yield: core.Uniform(0.3, 0.9), Sd: core.LogNormal(400, 1.3)})
+		}},
+		{"wafermap", wafers, func() (mcjob.Kernel, error) {
+			return mcjob.NewWaferMapKernel(yield.WaferMapConfig{UsableRadiusMM: 145, DieWMM: 10, DieHMM: 12,
+				Lambda: 0.8, ClusterAlpha: 2, Wafers: wafers, Seed: 1})
+		}},
+	}
+	for _, j := range jobs {
+		b.Run(j.kind, func(b *testing.B) {
+			k, err := j.kernel()
+			if err != nil {
+				b.Fatal(err)
+			}
+			e, err := mcjob.NewShardEvaluator(k, mcjob.RunConfig{Trials: j.trials, Shards: 16, Seed: 1})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for s := 0; s < 16; s++ {
+					if _, err := e.EvalShard(b.Context(), s); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*float64(j.trials)), "ns/trial")
+		})
 	}
 }

@@ -93,6 +93,10 @@ var defaultPinned = []string{
 	"BenchmarkServeBatch1024",
 	"BenchmarkWaferMapSims",
 	"BenchmarkLayoutDefectJob",
+	"BenchmarkJobKernels/defect",
+	"BenchmarkJobKernels/layoutdefect",
+	"BenchmarkJobKernels/montecarlo",
+	"BenchmarkJobKernels/wafermap",
 }
 
 // gates bundles the per-quantity thresholds. A regression fails only

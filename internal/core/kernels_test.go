@@ -274,3 +274,12 @@ func TestMonteCarloDeterministicAcrossWorkersAndTunerRegimes(t *testing.T) {
 		}
 	}
 }
+
+// draw is one joint draw through the kernel's three passes, as
+// MCEvaluator.chunk runs them on a block of one.
+func (k *mcKernel) draw(r *stats.RNG, dists *[5]Dist) (float64, bool) {
+	var d mcDraw
+	d.sample(r, dists)
+	d.finish(dists)
+	return k.eval(&d)
+}

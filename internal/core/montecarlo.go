@@ -17,6 +17,7 @@ import (
 type Dist struct {
 	kind distKind
 	a, b float64
+	logB float64 // log(b) of a log-normal, prepared once for Sample
 }
 
 type distKind int
@@ -37,7 +38,9 @@ func Uniform(lo, hi float64) Dist { return Dist{kind: distUniform, a: lo, b: hi}
 // LogNormal returns a log-normal distribution with the given median and
 // multiplicative sigma (e.g. sigma = 1.3 means one standard deviation
 // spans ×1.3 / ÷1.3) — the natural shape for costs and yields' odds.
-func LogNormal(median, sigma float64) Dist { return Dist{kind: distLogNormal, a: median, b: sigma} }
+func LogNormal(median, sigma float64) Dist {
+	return Dist{kind: distLogNormal, a: median, b: sigma, logB: math.Log(sigma)}
+}
 
 // Validate reports whether the distribution is well-formed.
 func (d Dist) Validate() error {
@@ -66,17 +69,29 @@ func (d Dist) Validate() error {
 }
 
 // Sample draws one value.
-func (d Dist) Sample(r *stats.RNG) float64 {
+func (d Dist) Sample(r *stats.RNG) float64 { return d.finish(d.draw(r)) }
+
+// draw is the part of Sample that reads the stream: the value itself,
+// or for a log-normal the normal variate of its log.
+func (d Dist) draw(r *stats.RNG) float64 {
 	switch d.kind {
 	case distFixed:
 		return d.a
 	case distUniform:
 		return r.Range(d.a, d.b)
 	case distLogNormal:
-		return d.a * math.Exp(r.Norm(0, math.Log(d.b)))
+		return r.Norm(0, d.logB)
 	default:
 		panic("core: Sample on uninitialized Dist")
 	}
+}
+
+// finish turns what draw returned into the sampled value.
+func (d Dist) finish(v float64) float64 {
+	if d.kind == distLogNormal {
+		return d.a * math.Exp(v)
+	}
+	return v
 }
 
 // UncertainScenario wraps a base scenario with input distributions; any
@@ -192,8 +207,9 @@ func (u UncertainScenario) MonteCarloSamples(n int, seed uint64) ([]float64, err
 // consequence — every accepted marginal is conditioned on joint validity
 // — is quantified by the caller via the redraw count rather than hidden.
 //
-// This is the scalar reference path: the run itself uses mcKernel.draw,
-// and the equivalence tests hold the two to bit-identical accept/reject
+// This is the scalar reference path: the run itself samples, finishes
+// and evaluates draws in MCEvaluator.chunk's block passes, and the
+// equivalence tests hold the two to bit-identical accept/reject
 // decisions and totals on every draw.
 func (u UncertainScenario) drawOnce(r *stats.RNG, dists *[5]Dist) (float64, bool) {
 	s := u.Base
@@ -214,18 +230,19 @@ func (u UncertainScenario) drawOnce(r *stats.RNG, dists *[5]Dist) (float64, bool
 }
 
 // mcKernel is the vectorized per-draw evaluator of the Monte Carlo
-// engine: every scenario invariant (λ², u, A_w, the eq (6) numerator) is
-// hoisted once per run, so each draw pays only for the arithmetic that
-// depends on the five sampled inputs — no Scenario copy, no
-// re-validation of fixed fields, no error allocation on rejection. The
-// retained operations keep the scalar path's association order exactly,
-// so accept/reject decisions and accepted totals are bit-identical to
+// engine: every scenario invariant (λ², u, A_w, the eq (6) numerator and
+// its power) is hoisted once per run, so each draw pays only for the
+// arithmetic that depends on the five sampled inputs — no Scenario copy,
+// no re-validation of fixed fields, no error allocation on rejection.
+// The retained operations keep the scalar path's association order
+// exactly, and the prepared power is bit for bit math.Pow, so
+// accept/reject decisions and accepted totals are bit-identical to
 // drawOnce.
 type mcKernel struct {
 	pn  float64 // A0 · N_tr^p1, the eq (6) numerator
 	sd0 float64
-	p2  float64
-	l2  float64 // λ² in cm²
+	p2  fixedPow // the eq (6) power (s_d − s_d0)^p2
+	l2  float64  // λ² in cm²
 	u   float64
 	aw  float64 // A_w
 }
@@ -234,34 +251,50 @@ func newMCKernel(s Scenario) mcKernel {
 	return mcKernel{
 		pn:  s.DesignCost.A0 * math.Pow(s.Design.Transistors, s.DesignCost.P1),
 		sd0: s.DesignCost.Sd0,
-		p2:  s.DesignCost.P2,
+		p2:  newFixedPow(s.DesignCost.P2),
 		l2:  LambdaSquaredCM2(s.Process.LambdaUM),
 		u:   s.utilization(),
 		aw:  s.Process.WaferAreaCM2,
 	}
 }
 
-// draw samples one joint input vector — consuming the RNG in exactly
-// drawOnce's order — and evaluates the eq (4) total. It rejects precisely
-// the draws the scalar path rejects: a sampled field failing its
-// Validate check, s_d at or below the eq (6) pole, or an eq (6) overflow
-// past float range (which the scalar path catches as DesignCostPerCM2's
-// finiteNonNeg guard). Everything else about the base scenario was
-// validated once by the caller and cannot be invalidated by a draw.
-func (k *mcKernel) draw(r *stats.RNG, dists *[5]Dist) (float64, bool) {
-	y := dists[0].Sample(r)
-	if y > 1 {
-		y = 1
+// mcDraw is one joint input vector: yield, cost per cm², s_d, wafers
+// and mask cost, in drawOnce's order.
+type mcDraw [5]float64
+
+// sample stores Dist.draw of each input, consuming the RNG in exactly
+// drawOnce's order.
+func (d *mcDraw) sample(r *stats.RNG, dists *[5]Dist) {
+	for i := range d {
+		d[i] = dists[i].draw(r)
 	}
-	cm2 := dists[1].Sample(r)
-	sd := dists[2].Sample(r)
-	wafers := dists[3].Sample(r)
-	mask := dists[4].Sample(r)
+}
+
+// finish turns what sample stored into the input values, with the yield
+// clamped to 1 as drawOnce clamps it.
+func (d *mcDraw) finish(dists *[5]Dist) {
+	for i := range d {
+		d[i] = dists[i].finish(d[i])
+	}
+	if d[0] > 1 {
+		d[0] = 1
+	}
+}
+
+// eval evaluates the eq (4) total of one finished draw. It rejects
+// precisely the draws the scalar path rejects: a sampled field failing
+// its Validate check, s_d at or below the eq (6) pole, or an eq (6)
+// overflow past float range (which the scalar path catches as
+// DesignCostPerCM2's finiteNonNeg guard). Everything else about the base
+// scenario was validated once by the caller and cannot be invalidated by
+// a draw.
+func (k *mcKernel) eval(d *mcDraw) (float64, bool) {
+	y, cm2, sd, wafers, mask := d[0], d[1], d[2], d[3], d[4]
 	if !finitePos(cm2) || !validYield(y) || !finitePos(sd) ||
 		!finiteNonNeg(mask) || !finitePos(wafers) || sd <= k.sd0 {
 		return 0, false
 	}
-	cde := k.pn / math.Pow(sd-k.sd0, k.p2)
+	cde := k.pn / k.p2.pow(sd-k.sd0)
 	if !finiteNonNeg(cde) {
 		return 0, false
 	}
@@ -328,43 +361,71 @@ func (e *MCEvaluator) Chunk(r *stats.RNG, n int) (MCChunkTally, error) {
 	return e.chunk(r, n, nil)
 }
 
+// mcBlock is how many joint draws MCEvaluator.chunk samples before it
+// evaluates them. The draws of a block are independent, so their eq (4)
+// evaluations (an Exp/Log chain each) overlap in the CPU instead of
+// running one after another.
+const mcBlock = 32
+
 // chunk is the one accept/reject loop of the Monte Carlo engine. It
 // draws n accepted samples from r, tallies them and, when out is
 // non-nil, also stores the i-th accepted total in out[i] (len(out) must
 // be n), which is how MonteCarloRunCtx collects its samples.
+//
+// It works in blocks: sample up to mcBlock draws in stream order,
+// finish and evaluate them all, then fold them in draw order, where a
+// draw is a redraw of the sample in hand until one is accepted. A block samples
+// only as many draws as samples are still missing, so its last
+// acceptance can only be the chunk's n-th, and the stream ends where
+// drawing one vector at a time would leave it.
 func (e *MCEvaluator) chunk(r *stats.RNG, n int, out []float64) (MCChunkTally, error) {
 	t := MCChunkTally{Min: math.Inf(1), Max: math.Inf(-1)}
-	for i := 0; i < n; i++ {
-		ok := false
-		for attempt := 0; attempt < mcMaxAttempts; attempt++ {
-			total, accepted := e.k.draw(r, &e.dists)
-			if accepted {
-				if !finite(total) {
-					// With finite-validated inputs this is unreachable, but a
-					// NaN that slipped through must fail the run rather than
-					// be averaged into the tally or the quantiles.
-					return MCChunkTally{}, fmt.Errorf("core: MonteCarlo produced non-finite cost %v from an accepted draw", total)
-				}
-				if out != nil {
-					out[i] = total
-				}
-				t.Accepted++
-				t.Sum += total
-				t.Sum2 += total * total
-				if total < t.Min {
-					t.Min = total
-				}
-				if total > t.Max {
-					t.Max = total
-				}
-				ok = true
-				break
-			}
-			t.Redraws++
+	var (
+		draws  [mcBlock]mcDraw
+		totals [mcBlock]float64
+		oks    [mcBlock]bool
+	)
+	attempts := 0 // rejected draws of the sample in hand
+	for t.Accepted < n {
+		m := min(mcBlock, n-t.Accepted)
+		for j := range m {
+			draws[j].sample(r, &e.dists)
 		}
-		if !ok {
-			return MCChunkTally{}, fmt.Errorf("core: MonteCarlo could not draw a valid sample in %d attempts (distributions mostly outside the model domain; %d rejected draws in this chunk alone)",
-				mcMaxAttempts, t.Redraws)
+		for j := range m {
+			draws[j].finish(&e.dists)
+		}
+		for j := range m {
+			totals[j], oks[j] = e.k.eval(&draws[j])
+		}
+		for j := range m {
+			if !oks[j] {
+				t.Redraws++
+				if attempts++; attempts == mcMaxAttempts {
+					return MCChunkTally{}, fmt.Errorf("core: MonteCarlo could not draw a valid sample in %d attempts (distributions mostly outside the model domain; %d rejected draws in this chunk alone)",
+						mcMaxAttempts, t.Redraws)
+				}
+				continue
+			}
+			attempts = 0
+			total := totals[j]
+			if !finite(total) {
+				// With finite-validated inputs this is unreachable, but a
+				// NaN that slipped through must fail the run rather than
+				// be averaged into the tally or the quantiles.
+				return MCChunkTally{}, fmt.Errorf("core: MonteCarlo produced non-finite cost %v from an accepted draw", total)
+			}
+			if out != nil {
+				out[t.Accepted] = total
+			}
+			t.Accepted++
+			t.Sum += total
+			t.Sum2 += total * total
+			if total < t.Min {
+				t.Min = total
+			}
+			if total > t.Max {
+				t.Max = total
+			}
 		}
 	}
 	return t, nil

@@ -66,6 +66,9 @@ func (s DefectSpec) Validate() error {
 type defectKernel struct {
 	spec      DefectSpec
 	expLambda float64 // exp(-Lambda), hoisted for the unclustered fast path
+	// chunkRateSum is Lambda added defectChunkTrials times from 0, the
+	// Partial.Sum of every full unclustered chunk.
+	chunkRateSum float64
 }
 
 // NewDefectKernel validates the spec and prepares the kernel.
@@ -73,7 +76,17 @@ func NewDefectKernel(s DefectSpec) (Kernel, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	return &defectKernel{spec: s, expLambda: math.Exp(-s.Lambda)}, nil
+	return &defectKernel{spec: s, expLambda: math.Exp(-s.Lambda),
+		chunkRateSum: rateSum(s.Lambda, defectChunkTrials)}, nil
+}
+
+// rateSum adds rate n times from 0, in the order a per-trial loop would.
+func rateSum(rate float64, n int64) float64 {
+	var sum float64
+	for i := int64(0); i < n; i++ {
+		sum += rate
+	}
+	return sum
 }
 
 func (k *defectKernel) Kind() string       { return "defect" }
@@ -81,17 +94,21 @@ func (k *defectKernel) ChunkTrials() int64 { return defectChunkTrials }
 func (k *defectKernel) Keyed() bool        { return false }
 
 func (k *defectKernel) Chunk(lo, hi int64, r *stats.RNG) (Partial, error) {
-	var p Partial
-	clustered := k.spec.Alpha > 0
-	for t := lo; t < hi; t++ {
-		rate := k.spec.Lambda
-		var n int
-		if clustered {
-			rate = k.spec.Lambda * r.Gamma(k.spec.Alpha, 1/k.spec.Alpha)
-			n = r.Poisson(rate)
-		} else {
-			n = r.PoissonL(rate, k.expLambda)
+	if k.spec.Alpha == 0 {
+		// Unclustered: every trial draws at the one rate Lambda, so the
+		// chunk is one PoissonCounts call, which uses the variates of
+		// hi−lo PoissonL calls.
+		good, events := r.PoissonCounts(int(hi-lo), k.spec.Lambda, k.expLambda)
+		sum := k.chunkRateSum
+		if hi-lo != defectChunkTrials {
+			sum = rateSum(k.spec.Lambda, hi-lo)
 		}
+		return Partial{Trials: hi - lo, Good: good, Events: events, Sum: sum}, nil
+	}
+	var p Partial
+	for t := lo; t < hi; t++ {
+		rate := k.spec.Lambda * r.Gamma(k.spec.Alpha, 1/k.spec.Alpha)
+		n := r.Poisson(rate)
 		p.Trials++
 		p.Events += int64(n)
 		p.Sum += rate
@@ -179,8 +196,8 @@ func NewLayoutKernel(l *layout.Layout, meanDefects float64, dist yield.DefectSiz
 	if err := dist.Validate(); err != nil {
 		return nil, err
 	}
-	thrower, err := layout.NewDefectThrower(l, layout.Metal1, meanDefects,
-		func(r *stats.RNG) float64 { return dist.Sample(r) })
+	sizes := dist.Sampler()
+	thrower, err := layout.NewDefectThrower(l, layout.Metal1, meanDefects, sizes.Sample)
 	if err != nil {
 		return nil, err
 	}

@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/layout"
+	"repro/internal/stats"
 	"repro/internal/yield"
 )
 
@@ -365,6 +366,44 @@ func TestDefectKernelStatisticalSanity(t *testing.T) {
 			t.Fatalf("counts not populated: %v", res.Counts)
 		}
 	})
+}
+
+// TestDefectChunkMatchesPerTrialLoop holds the unclustered defect
+// chunk, one PoissonCounts call with a precomputed rate sum, to the
+// per-trial loop it replaced: the same partial, bit for bit, and the
+// same stream afterwards, on full and short chunks and across the
+// Knuth, zero-rate and normal-approximation regimes.
+func TestDefectChunkMatchesPerTrialLoop(t *testing.T) {
+	for _, lambda := range []float64{0, 1e-9, 0.9, 3.5, 29.999, 30, 45} {
+		k, err := NewDefectKernel(DefectSpec{Lambda: lambda})
+		if err != nil {
+			t.Fatal(err)
+		}
+		expLambda := math.Exp(-lambda)
+		for _, n := range []int64{1, 100, defectChunkTrials - 1, defectChunkTrials} {
+			a, b := stats.NewRNG(5), stats.NewRNG(5)
+			got, err := k.Chunk(0, n, a)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var want Partial
+			for i := int64(0); i < n; i++ {
+				c := b.PoissonL(lambda, expLambda)
+				want.Trials++
+				want.Events += int64(c)
+				want.Sum += lambda
+				if c == 0 {
+					want.Good++
+				}
+			}
+			if got != want || math.Float64bits(got.Sum) != math.Float64bits(want.Sum) {
+				t.Fatalf("λ %v, %d trials: chunk %+v, per-trial loop %+v", lambda, n, got, want)
+			}
+			if a.Uint64() != b.Uint64() {
+				t.Fatalf("λ %v, %d trials: chunk left the stream elsewhere", lambda, n)
+			}
+		}
+	}
 }
 
 func TestProgressAccounting(t *testing.T) {

@@ -6,6 +6,9 @@
 // Everything here is intentionally self-contained (stdlib only) and
 // deterministic: all stochastic components of the repository draw from RNG
 // seeded explicitly, so experiments and tests are reproducible bit-for-bit.
+// Batched draws keep that: RNG.PoissonCounts draws a whole chunk of
+// Poisson counts from exactly the variates that one RNG.PoissonL call per
+// count would use.
 package stats
 
 import "math"
@@ -142,6 +145,63 @@ func (r *RNG) PoissonL(mean, expNegMean float64) int {
 		return r.poissonKnuth(expNegMean)
 	}
 	return r.poissonNormal(mean)
+}
+
+// PoissonCounts draws n Poisson counts with the given mean and returns
+// how many were zero and their total. The variates it uses, and the
+// state it leaves r in, are exactly those of n PoissonL(mean, expNegMean)
+// calls, provided expNegMean == math.Exp(-mean).
+//
+// For 0 < mean < 30 it runs Knuth's product method as one loop over
+// variates, with the generator state in locals. A count ends on the
+// variate that takes the product to l or below, and since the product
+// and l are non-negative floats that test is an integer compare of their
+// bits; the product is reset to 1 by selecting on that compare rather
+// than by branching, so the loop does not stall on a mispredicted branch
+// once per count. Each count c uses c+1 variates, so the total is the
+// variate count less n. Other means run PoissonL itself.
+func (r *RNG) PoissonCounts(n int, mean, expNegMean float64) (zeros, sum int64) {
+	if n <= 0 {
+		return 0, 0
+	}
+	if !(mean > 0 && mean < 30 && expNegMean > 0) {
+		for i := 0; i < n; i++ {
+			k := r.PoissonL(mean, expNegMean)
+			if k == 0 {
+				zeros++
+			}
+			sum += int64(k)
+		}
+		return zeros, sum
+	}
+	const oneBits = 0x3ff0000000000000 // math.Float64bits(1)
+	lb := math.Float64bits(expNegMean)
+	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
+	p := 1.0
+	first := uint64(1) // 1 on a count's first variate
+	left := uint64(n)  // counts still to end
+	for left != 0 {
+		// Uint64 and Float64, inlined on the local state.
+		u := rotl(s1*5, 7) * 9
+		t := s1 << 17
+		s2 ^= s0
+		s3 ^= s1
+		s1 ^= s2
+		s0 ^= s3
+		s2 ^= t
+		s3 = rotl(s3, 45)
+		p *= float64(int64(u>>11)) / (1 << 53)
+
+		pb := math.Float64bits(p)
+		end := (pb - lb - 1) >> 63 // 1 when p <= l: this variate ends a count
+		zeros += int64(end & first)
+		sum += int64(end ^ 1)
+		first = end
+		left -= end
+		p = math.Float64frombits(pb ^ (pb^oneBits)&-end)
+	}
+	r.s[0], r.s[1], r.s[2], r.s[3] = s0, s1, s2, s3
+	return zeros, sum
 }
 
 // poissonKnuth is Knuth's product method, parameterized by l = exp(-mean).

@@ -71,22 +71,41 @@ func (d DefectSizeDist) Mean() (float64, error) {
 	return k*d.X0*d.X0*d.X0/3 + k*math.Pow(d.X0, 3)/(d.P-2), nil
 }
 
-// Sample draws a defect size from the distribution by inverse-transform
-// sampling.
-func (d DefectSizeDist) Sample(r *stats.RNG) float64 {
+// SizeSampler draws defect sizes from one DefectSizeDist by
+// inverse-transform sampling. The distribution's constants are computed
+// once, by DefectSizeDist.Sampler, so a draw costs one uniform and the
+// inversion.
+type SizeSampler struct {
+	k      float64 // normalization, DefectSizeDist.norm
+	pBelow float64 // mass below the peak, k·X0²/2
+	c      float64 // k·X0^{P+1}/(P−1)
+	x0Pow  float64 // X0^{1−P}
+	invExp float64 // 1/(1−P)
+}
+
+// Sampler prepares d's size sampler. d should be valid (Validate).
+func (d DefectSizeDist) Sampler() SizeSampler {
 	k := d.norm()
-	// Mass below the peak.
-	pBelow := k * d.X0 * d.X0 / 2
+	return SizeSampler{
+		k:      k,
+		pBelow: k * d.X0 * d.X0 / 2,
+		c:      k * math.Pow(d.X0, d.P+1) / (d.P - 1),
+		x0Pow:  math.Pow(d.X0, 1-d.P),
+		invExp: 1 / (1 - d.P),
+	}
+}
+
+// Sample draws one defect size.
+func (s *SizeSampler) Sample(r *stats.RNG) float64 {
 	u := r.Float64()
-	if u < pBelow {
+	if u < s.pBelow {
 		// CDF below peak: k·x²/2 = u → x = sqrt(2u/k).
-		return math.Sqrt(2 * u / k)
+		return math.Sqrt(2 * u / s.k)
 	}
 	// Above peak: CDF = pBelow + k·X0^{P+1}/(P−1)·(X0^{1−P} − x^{1−P}).
-	rest := u - pBelow
-	c := k * math.Pow(d.X0, d.P+1) / (d.P - 1)
-	inner := math.Pow(d.X0, 1-d.P) - rest/c
-	return math.Pow(inner, 1/(1-d.P))
+	rest := u - s.pBelow
+	inner := s.x0Pow - rest/s.c
+	return math.Pow(inner, s.invExp)
 }
 
 // AverageCriticalArea integrates a size-dependent critical-area curve

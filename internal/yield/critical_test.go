@@ -60,10 +60,11 @@ func TestDefectSizeSampleMatchesMean(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := stats.NewRNG(777)
+	sizes := d.Sampler()
 	const n = 200000
 	var sum float64
 	for i := 0; i < n; i++ {
-		x := d.Sample(r)
+		x := sizes.Sample(r)
 		if x <= 0 {
 			t.Fatalf("sampled non-positive size %v", x)
 		}
@@ -72,6 +73,34 @@ func TestDefectSizeSampleMatchesMean(t *testing.T) {
 	got := sum / n
 	if math.Abs(got-want) > 0.02*want {
 		t.Fatalf("sample mean = %v, analytic %v", got, want)
+	}
+}
+
+// sampleSize is the unprepared inverse-transform draw, every constant
+// recomputed per call: the reference SizeSampler must match bit for bit.
+func sampleSize(d DefectSizeDist, r *stats.RNG) float64 {
+	k := d.norm()
+	pBelow := k * d.X0 * d.X0 / 2
+	u := r.Float64()
+	if u < pBelow {
+		return math.Sqrt(2 * u / k)
+	}
+	rest := u - pBelow
+	c := k * math.Pow(d.X0, d.P+1) / (d.P - 1)
+	inner := math.Pow(d.X0, 1-d.P) - rest/c
+	return math.Pow(inner, 1/(1-d.P))
+}
+
+func TestSizeSamplerMatchesReference(t *testing.T) {
+	for _, d := range []DefectSizeDist{{X0: 0.5, P: 3}, {X0: 1, P: 3.5}, {X0: 2, P: 3}, {X0: 0.09, P: 1.7}, {X0: 3, P: 5.25}} {
+		sizes := d.Sampler()
+		a, b := stats.NewRNG(31), stats.NewRNG(31)
+		for i := 0; i < 50000; i++ {
+			got, want := sizes.Sample(a), sampleSize(d, b)
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%+v draw %d: prepared %v, reference %v", d, i, got, want)
+			}
+		}
 	}
 }
 

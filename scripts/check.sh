@@ -1,8 +1,8 @@
 #!/bin/sh
 # check.sh — the repository's verification gate: vet, build, race-enabled
-# tests, time-boxed fuzz passes over the job-log replay and the defect
-# simulator's binned fatal test, and a one-iteration benchmark smoke so a
-# broken benchmark fails fast.
+# tests, time-boxed fuzz passes over the job-log replay, the defect
+# simulator's binned fatal test and the defect kind's Poisson chunk loop,
+# and a one-iteration benchmark smoke so a broken benchmark fails fast.
 # Equivalent to `make check` for environments without make.
 set -eu
 cd "$(dirname "$0")/.."
@@ -21,6 +21,9 @@ go test -run '^$' -fuzz FuzzReplayJobLog -fuzztime 10s ./internal/mcjob
 
 echo "== defect-index fuzz (time-boxed) ==" >&2
 go test -run '^$' -fuzz FuzzDefectIndexMatchesIsFatal -fuzztime 10s ./internal/layout
+
+echo "== Poisson chunk-loop fuzz (time-boxed) ==" >&2
+go test -run '^$' -fuzz FuzzPoissonCounts -fuzztime 10s ./internal/stats
 
 echo "== serve smoke (short, race-enabled) ==" >&2
 go test -race -short -count=1 ./internal/serve/ ./cmd/nanocostd/
